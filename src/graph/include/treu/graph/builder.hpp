@@ -5,12 +5,14 @@
 // capture_sequential walks a Sequential layer by layer (dynamic_cast over
 // the concrete layer types) and emits the primitive-op dataflow each layer
 // computes at inference time. The captured graph, run through the reference
-// interpreter, is bitwise identical to the hand-written forward for layers
-// whose kernels are micro-matmul-backed (Dense stacks — the MLP family) and
-// ULP-close for layers whose hand-written code uses the dot-style kernels
-// (Conv1dSeq's matvec, attention's matmul_transposed): the graph re-expresses
-// those as Im2Row + MatMul and Transpose + MatMul so that the *graph's* own
-// semantics stay bitwise stable across every backend.
+// interpreter, is bitwise identical to the hand-written forward: Dense,
+// Conv1dSeq and attention all run on the register-tiled micro matmul, and
+// the graph lowers them the same way — Conv1dSeq as Im2Row + MatMul (the
+// shared tensor::im2row), attention scores as MatMul(Q, Transpose(K)),
+// which is what Kernel::matmul_transposed computes after packing K^T. Every
+// other op replicates the nn layer's loop exactly, so the agreement holds
+// for whole MLP, conv and transformer stacks (compiler_test's Capture
+// suite).
 //
 // Captured weights become Const nodes; their ids are returned in the exact
 // order the model's params() lists them, so a captured graph's weight set

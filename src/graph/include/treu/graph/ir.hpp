@@ -13,11 +13,12 @@
 //
 // Bit-exactness ground rules, which every op's semantics are chosen around:
 //  - All matmul-shaped work lowers to the register-tiled microkernel family
-//    (ascending-k FMA accumulation), which PR 7 proved bitwise identical
-//    across ISA, register-tile shape, cache tiling, row batching, and
-//    parallel partition. Dot-style kernels (matvec, matmul_transposed) are
-//    only ULP-bounded across ISAs, so the IR never uses them: convolution is
-//    expressed as Im2Row + MatMul, attention scores as MatMul(Q, Transpose(K)).
+//    (ascending-k FMA accumulation), which is bitwise identical across ISA,
+//    register-tile shape, cache tiling, row batching, and parallel
+//    partition. The dot-style matvec is only ULP-bounded across ISAs, so
+//    the IR never uses it: convolution is expressed as Im2Row + MatMul (the
+//    lowering nn::Conv1dSeq shares through tensor::im2row), attention
+//    scores as MatMul(Q, Transpose(K)).
 //  - Everything else (activations, bias adds, pools, normalization, softmax)
 //    is a fixed-order elementwise or per-row loop replicated exactly from the
 //    nn layer implementations.

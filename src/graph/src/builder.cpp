@@ -48,13 +48,12 @@ NodeId capture_layernorm(Graph &g, NodeId x, nn::LayerNorm &ln,
   return g.add(OpKind::LayerNorm, {x, gain, bias}, attrs);
 }
 
-/// Conv1dSeq as Im2Row + MatMul against the *transposed* filter bank. The
-/// hand-written layer matvecs the (filters x width*in) bank per window; the
-/// graph instead multiplies (patches x width*in) @ (width*in x filters) so
-/// the work runs on the bitwise-invariant micro matmul. The Transpose sits
-/// on the Const weight and folds away at compile time. The captured Const
-/// keeps the layer's own (filters x width*in) layout so weight digests and
-/// positional reloads match the source model.
+/// Conv1dSeq as Im2Row + MatMul against the *transposed* filter bank — the
+/// lowering Conv1dSeq::forward itself runs: (patches x width*in) @
+/// (width*in x filters) on the bitwise-invariant micro matmul. The
+/// Transpose sits on the Const weight and folds away at compile time. The
+/// captured Const keeps the layer's own (filters x width*in) layout so
+/// weight digests and positional reloads match the source model.
 NodeId capture_conv(Graph &g, NodeId x, nn::Conv1dSeq &conv,
                     std::vector<NodeId> &params) {
   const NodeId w = g.add_const(conv.params()[0]->value, "conv.w");
@@ -70,9 +69,9 @@ NodeId capture_conv(Graph &g, NodeId x, nn::Conv1dSeq &conv,
 }
 
 /// Multi-head attention over a static-length sequence. Scores are
-/// MatMul(Q_h, Transpose(K_h)) — not the hand-written matmul_transposed,
-/// whose lane-split accumulation is only ULP-stable across ISAs — so the
-/// captured graph itself stays bitwise invariant under every backend.
+/// MatMul(Q_h, Transpose(K_h)): the same bits as the layer's
+/// Kernel::matmul_transposed, which packs K_h^T and runs the micro matmul,
+/// while keeping the transpose visible to the graph's passes.
 NodeId capture_mha(Graph &g, NodeId x, nn::MultiHeadAttention &mha,
                    std::vector<NodeId> &params) {
   (void)static_rows(g, x, mha);  // Transpose(K_h) needs static rows

@@ -60,22 +60,6 @@ void softmax_rows(Matrix &m) {
   }
 }
 
-/// Flatten windows [t, t+width) of a row-major (seq x d) matrix into row t
-/// of a (seq-width+1 x width*d) matrix. Pure data movement — the window rows
-/// are contiguous in memory, exactly the layout Conv1dSeq::forward hands to
-/// its per-window matvec.
-Matrix im2row(const Matrix &x, std::size_t width) {
-  const std::size_t d = x.cols();
-  const std::size_t out_rows = x.rows() - width + 1;
-  Matrix out(out_rows, width * d);
-  for (std::size_t t = 0; t < out_rows; ++t) {
-    const double *src = x.row(t).data();
-    auto dst = out.row(t);
-    for (std::size_t j = 0; j < width * d; ++j) dst[j] = src[j];
-  }
-  return out;
-}
-
 /// Column-wise running max over a block of rows, first-max-wins (strict >),
 /// matching GlobalMaxPool::forward's scan order.
 void colmax_update(Matrix &best, const Matrix &block, bool &seeded) {
@@ -108,13 +92,7 @@ Matrix eval_fused_conv(const Node &node, const Matrix &x, const Matrix &wt,
   bool seeded = false;
   for (std::size_t t0 = 0; t0 < total; t0 += kBlock) {
     const std::size_t rows = std::min(kBlock, total - t0);
-    Matrix patch(rows, width * x.cols());
-    for (std::size_t t = 0; t < rows; ++t) {
-      const double *src = x.row(t0 + t).data();
-      auto dst = patch.row(t);
-      for (std::size_t j = 0; j < patch.cols(); ++j) dst[j] = src[j];
-    }
-    Matrix z = Kernel::matmul(patch, wt, kp, pool);
+    Matrix z = Kernel::matmul(tensor::im2row(x, width, t0, rows), wt, kp, pool);
     add_row_bias(z, bias);
     apply_act(z, Act::Relu);
     colmax_update(best, z, seeded);
@@ -202,7 +180,7 @@ Matrix eval_node(const Node &node, std::span<const Matrix *const> in,
       if (node.attrs.width == 0 || in[0]->rows() < node.attrs.width) {
         fail(node, "sequence shorter than window");
       }
-      return im2row(*in[0], node.attrs.width);
+      return tensor::im2row(*in[0], node.attrs.width);
 
     case OpKind::MeanPool: {
       // nn::MeanPool::forward verbatim: column sums then one *= 1/rows.

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "backward_matmul.hpp"
 #include "treu/tensor/kernels.hpp"
 
 namespace treu::nn {
@@ -98,9 +99,16 @@ tensor::Matrix MultiHeadAttention::forward(const tensor::Matrix &x) {
 
 tensor::Matrix MultiHeadAttention::backward(const tensor::Matrix &grad_out) {
   const std::size_t n = x_.rows();
+  const tensor::KernelParams p = tensor::Kernel::fast_params();
+  auto &pool = tensor::Kernel::default_pool();
+  // Every product runs on the micro matmul: A^T B through matmul_tn, A B^T
+  // through matmul_transposed.
+  const auto abt = [&](const tensor::Matrix &a, const tensor::Matrix &b) {
+    return tensor::Kernel::matmul_transposed(a, b, p, pool);
+  };
   // Output projection.
-  wo_.grad += tensor::matmul_atb(concat_, grad_out);
-  const tensor::Matrix dconcat = tensor::matmul_transposed(grad_out, wo_.value);
+  wo_.grad += detail::matmul_tn(concat_, grad_out);
+  const tensor::Matrix dconcat = abt(grad_out, wo_.value);
 
   tensor::Matrix dq(n, model_dim_, 0.0);
   tensor::Matrix dk(n, model_dim_, 0.0);
@@ -115,9 +123,9 @@ tensor::Matrix MultiHeadAttention::backward(const tensor::Matrix &grad_out) {
     const tensor::Matrix &a = attn_[h];
 
     // dV_h = A^T dO_h.
-    const tensor::Matrix dvh = tensor::matmul_atb(a, doh);
+    const tensor::Matrix dvh = detail::matmul_tn(a, doh);
     // dA = dO_h V_h^T.
-    const tensor::Matrix da = tensor::matmul_transposed(doh, vh);
+    const tensor::Matrix da = abt(doh, vh);
     // Softmax backward per row: dS = A ∘ (dA - sum(dA ∘ A)).
     tensor::Matrix ds(n, n);
     for (std::size_t r = 0; r < n; ++r) {
@@ -129,20 +137,20 @@ tensor::Matrix MultiHeadAttention::backward(const tensor::Matrix &grad_out) {
     }
     ds *= scale;
     // dQ_h = dS K_h ; dK_h = dS^T Q_h.
-    const tensor::Matrix dqh = tensor::matmul(ds, kh);
-    const tensor::Matrix dkh = tensor::matmul_atb(ds, qh);
+    const tensor::Matrix dqh = tensor::Kernel::matmul(ds, kh, p, pool);
+    const tensor::Matrix dkh = detail::matmul_tn(ds, qh);
     head_add(dq, dqh, h, head_dim_);
     head_add(dk, dkh, h, head_dim_);
     head_add(dv, dvh, h, head_dim_);
   }
 
-  wq_.grad += tensor::matmul_atb(x_, dq);
-  wk_.grad += tensor::matmul_atb(x_, dk);
-  wv_.grad += tensor::matmul_atb(x_, dv);
+  wq_.grad += detail::matmul_tn(x_, dq);
+  wk_.grad += detail::matmul_tn(x_, dk);
+  wv_.grad += detail::matmul_tn(x_, dv);
 
-  tensor::Matrix dx = tensor::matmul_transposed(dq, wq_.value);
-  dx += tensor::matmul_transposed(dk, wk_.value);
-  dx += tensor::matmul_transposed(dv, wv_.value);
+  tensor::Matrix dx = abt(dq, wq_.value);
+  dx += abt(dk, wk_.value);
+  dx += abt(dv, wv_.value);
   return dx;
 }
 

@@ -1,7 +1,6 @@
 #include "treu/nn/conv.hpp"
 
 #include <cmath>
-#include <span>
 #include <stdexcept>
 
 #include "treu/tensor/kernels.hpp"
@@ -26,23 +25,28 @@ tensor::Matrix Conv1dSeq::forward(const tensor::Matrix &x) {
   if (x.cols() != in_dim_ || x.rows() < width_) {
     throw std::invalid_argument("Conv1dSeq::forward: bad input shape");
   }
+  // The graph's lowering (builder.cpp capture_conv): im2row, then one
+  // (out_len x width*in) @ (width*in x filters) micro matmul, then the bias
+  // row — so this layer and its captured plan agree bitwise.
   input_ = x;
-  const std::size_t out_len = x.rows() - width_ + 1;
-  const tensor::KernelParams p = tensor::Kernel::fast_params();
-  auto &pool = tensor::Kernel::default_pool();
-  tensor::Matrix y(out_len, filters_);
-  for (std::size_t t = 0; t < out_len; ++t) {
-    // The window rows [t, t+width) are contiguous in memory because the
-    // matrix is row-major: each output position is one matvec of the
-    // filter bank against the flattened window.
-    const std::span<const double> window(x.row(t).data(), width_ * in_dim_);
-    const std::vector<double> s = tensor::Kernel::matvec(w_.value, window, p, pool);
-    for (std::size_t f = 0; f < filters_; ++f) y(t, f) = s[f] + b_.value(0, f);
+  tensor::Matrix y = tensor::Kernel::matmul(
+      tensor::im2row(x, width_), w_.value.transposed(),
+      tensor::Kernel::fast_params(), tensor::Kernel::default_pool());
+  const auto brow = b_.value.row(0);
+  for (std::size_t r = 0; r < y.rows(); ++r) {
+    auto yrow = y.row(r);
+    for (std::size_t c = 0; c < yrow.size(); ++c) yrow[c] += brow[c];
   }
   return y;
 }
 
 tensor::Matrix Conv1dSeq::backward(const tensor::Matrix &grad_out) {
+  // dW += G^T patches ; db += sum_rows G ; dpatches = G W. Patch t is input
+  // rows [t, t+width), contiguous in row-major storage, so it is read from
+  // input_ and its gradient added straight into dx.row(t). Behind
+  // GlobalMaxPool and ReLU, G has at most one nonzero per filter, so both
+  // products run as rank-1 updates over the nonzeros alone: measured
+  // cheaper than the zero-skipping micro matmul, which walks every row of G.
   const std::size_t out_len = grad_out.rows();
   tensor::Matrix dx(input_.rows(), in_dim_, 0.0);
   for (std::size_t t = 0; t < out_len; ++t) {

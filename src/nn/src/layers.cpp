@@ -3,6 +3,7 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "backward_matmul.hpp"
 #include "treu/tensor/kernels.hpp"
 
 namespace treu::nn {
@@ -35,14 +36,17 @@ tensor::Matrix Dense::forward(const tensor::Matrix &x) {
 }
 
 tensor::Matrix Dense::backward(const tensor::Matrix &grad_out) {
-  // dW += x^T g ; db += sum_rows g ; dx = g W^T.
-  w_.grad += tensor::matmul_atb(input_, grad_out);
+  // dW += x^T g ; db += sum_rows g ; dx = g W^T — both products on the
+  // register-tiled micro matmul, like the forward pass.
+  w_.grad += detail::matmul_tn(input_, grad_out);
   for (std::size_t r = 0; r < grad_out.rows(); ++r) {
     for (std::size_t c = 0; c < grad_out.cols(); ++c) {
       b_.grad(0, c) += grad_out(r, c);
     }
   }
-  return tensor::matmul_transposed(grad_out, w_.value);
+  return tensor::Kernel::matmul_transposed(grad_out, w_.value,
+                                           tensor::Kernel::fast_params(),
+                                           tensor::Kernel::default_pool());
 }
 
 tensor::Matrix ReLU::forward(const tensor::Matrix &x) {

@@ -16,8 +16,11 @@
 // ISA and register-tile shape) is data, the kernel semantics never change.
 //
 // Parity contract: every backend computes the same function as the naive
-// reference up to summation-order effects (FMA contraction, lane-split
-// reductions), which kernels_test bounds in ULPs. When the requested ISA is
+// reference up to summation-order effects (FMA contraction, matvec's
+// lane-split reduction), which kernels_test bounds in ULPs. On the
+// microkernel path matmul, matmul_transposed, conv1d and conv2d are
+// moreover bitwise invariant across ISA, register tile and thread
+// partition (see kernels_micro.hpp). When the requested ISA is
 // unavailable, dispatch falls back to Scalar and records it (the
 // `sched.isa_fallback` metric and Kernel::isa_fallbacks()) instead of
 // throwing — a schedule tuned on another host must still run here.
@@ -136,8 +139,8 @@ class Kernel {
   [[nodiscard]] static Isa effective(Isa requested);
 
   /// "Make it fast, keep the semantics": best() ISA with the default
-  /// register tile. What the nn forward passes use so every served model
-  /// rides the fastest compiled backend for free.
+  /// register tile. What the nn forward and backward passes use, so every
+  /// trained and served model rides the fastest compiled backend for free.
   [[nodiscard]] static KernelParams fast_params();
 
   /// Lazily-constructed serial pool for callers without one (the deprecated
@@ -196,14 +199,17 @@ class Kernel {
                                 const KernelParams &params,
                                 parallel::ThreadPool &pool);
 
-// --- Gram-style matmul: C = A^T B (no transpose materialized) ---------------
-//
-// The backward pass of every dense layer computes dW = X^T G; materializing
-// X^T copies the (often huge) activation matrix on every step. This kernel
-// walks A and B row-by-row (both row-major friendly) and accumulates the
-// outer products directly. Not part of the schedule zoo, so not dispatched.
+/// Flatten the width-row windows of a row-major (seq x d) matrix:
+/// row t of the result is rows [first+t, first+t+width) of `x` laid end to
+/// end, for t in [0, count). Pure data movement — the conv lowering shared
+/// by nn::Conv1dSeq and the graph's Im2Row turns a valid-mode sequence
+/// convolution into one (count x width*d) @ (width*d x filters) matmul.
+/// Throws std::invalid_argument when a window runs past the end of `x`.
+[[nodiscard]] Matrix im2row(const Matrix &x, std::size_t width,
+                            std::size_t first, std::size_t count);
 
-[[nodiscard]] Matrix matmul_atb(const Matrix &a, const Matrix &b);
+/// Every window: im2row(x, width, 0, x.rows() - width + 1).
+[[nodiscard]] Matrix im2row(const Matrix &x, std::size_t width);
 
 /// FLOP counts for the roofline model (multiply-add counted as 2 flops).
 [[nodiscard]] double matvec_flops(std::size_t m, std::size_t n) noexcept;

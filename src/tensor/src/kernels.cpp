@@ -1,7 +1,7 @@
 // Legacy scalar kernel bodies (see kernels_legacy.hpp for why they are kept
-// verbatim) plus the kernel-agnostic pieces: matmul_atb and the
-// flop/byte-count helpers. The public free functions and the Kernel
-// dispatch surface live in kernels_dispatch.cpp.
+// verbatim) plus the kernel-agnostic pieces: im2row and the flop/byte-count
+// helpers. The public free functions and the Kernel dispatch surface live
+// in kernels_dispatch.cpp.
 
 #include <algorithm>
 #include <stdexcept>
@@ -382,23 +382,24 @@ Matrix legacy_conv2d_opt(const Matrix &input, const Matrix &kernel,
 
 }  // namespace detail
 
-Matrix matmul_atb(const Matrix &a, const Matrix &b) {
-  if (a.rows() != b.rows()) {
-    throw std::invalid_argument("matmul_atb: row counts differ");
+Matrix im2row(const Matrix &x, std::size_t width, std::size_t first,
+              std::size_t count) {
+  if (width == 0 || first + count + width - 1 > x.rows()) {
+    throw std::invalid_argument("im2row: window exceeds the sequence");
   }
-  const std::size_t n = a.rows(), p = a.cols(), q = b.cols();
-  Matrix c(p, q, 0.0);
-  for (std::size_t i = 0; i < n; ++i) {
-    const double *arow = a.row(i).data();
-    const double *brow = b.row(i).data();
-    for (std::size_t j = 0; j < p; ++j) {
-      const double aij = arow[j];
-      if (aij == 0.0) continue;  // sparse activations skip whole rows of C
-      double *crow = c.row(j).data();
-      for (std::size_t k = 0; k < q; ++k) crow[k] += aij * brow[k];
-    }
+  const std::size_t span = width * x.cols();
+  Matrix out(count, span);
+  for (std::size_t t = 0; t < count; ++t) {
+    std::copy_n(x.row(first + t).data(), span, out.row(t).data());
   }
-  return c;
+  return out;
+}
+
+Matrix im2row(const Matrix &x, std::size_t width) {
+  if (width == 0 || x.rows() < width) {
+    throw std::invalid_argument("im2row: window exceeds the sequence");
+  }
+  return im2row(x, width, 0, x.rows() - width + 1);
 }
 
 double matvec_flops(std::size_t m, std::size_t n) noexcept {

@@ -19,13 +19,15 @@
 //    remainder loop depends only on the column index and the extent, never
 //    on block or chunk boundaries: parallel chunking cannot change results.
 //  - ScalarVec::fma is std::fma (single rounding), so scalar and vector
-//    lanes round identically: for matmul/conv the scalar and AVX2 backends
-//    agree bitwise, not just within ULP bounds.
+//    lanes round identically: for matmul, matmul_transposed and conv the
+//    scalar and AVX2 backends agree bitwise, not just within ULP bounds.
+//  - matmul_transposed packs B^T once and runs the matmul body, so it
+//    inherits every one of the guarantees above.
 //
-// Dot-style kernels (matvec, matmul_transposed) split the reduction across
-// `unroll` lane accumulators and horizontal-sum at the end, which changes
-// the summation tree vs the naive reference — those are the ULP-bounded
-// (not bitwise) parity cases.
+// matvec alone is dot-style: it splits the reduction across `unroll` lane
+// accumulators and horizontal-sums at the end, which changes the summation
+// tree vs the naive reference — the one ULP-bounded (not bitwise) parity
+// case.
 //
 // This header is internal to src/tensor; only the Backend tables built in
 // kernels_dispatch.cpp / kernels_simd.cpp escape it.
@@ -74,7 +76,7 @@ std::size_t clamp_rtile_nv(std::size_t rtile_n) noexcept {
   return 1;
 }
 
-/// Lane-accumulator count for dot-style kernels, from the unroll knob.
+/// Lane-accumulator count for the dot-style matvec, from the unroll knob.
 inline std::size_t clamp_acc(std::size_t unroll) noexcept {
   if (unroll >= 8) return 8;
   if (unroll >= 4) return 4;
@@ -265,26 +267,14 @@ Matrix matmul_tmpl(const Matrix &a, const Matrix &b, const KernelParams &p,
   return c;
 }
 
-/// C = A(m x k) * B(n x k)^T: a dot product per output element, both
-/// operands row-contiguous.
+/// C = A(m x k) * B(n x k)^T. B is transposed into a (k x n) panel once and
+/// the product runs on matmul_tmpl: O(nk) packing buys the register-tiled
+/// ascending-k FMA path, so the result is bitwise the same as
+/// matmul(a, b.transposed()) under every ISA, tile and partition.
 template <class V>
 Matrix matmul_t_tmpl(const Matrix &a, const Matrix &b, const KernelParams &p,
                      parallel::ThreadPool &pool) {
-  const std::size_t m = a.rows(), n = b.rows(), kk = a.cols();
-  Matrix c(m, n, 0.0);
-  if (m == 0 || n == 0) return c;
-  const std::size_t nacc = clamp_acc(p.unroll);
-  const std::size_t tj = tile_or(p.tile_j, n);
-  const auto body = [&](std::size_t i0, std::size_t i1) {
-    for (std::size_t j0 = 0; j0 < n; j0 += tj) {
-      const std::size_t j1 = std::min(j0 + tj, n);
-      for (std::size_t i = i0; i < i1; ++i)
-        for (std::size_t j = j0; j < j1; ++j)
-          c(i, j) = dot_acc<V>(a.row(i).data(), b.row(j).data(), kk, nacc);
-    }
-  };
-  for_row_blocks(m, p.tile_i, p.parallel, pool, body);
-  return c;
+  return matmul_tmpl<V>(a, b.transposed(), p, pool);
 }
 
 /// y = A(m x n) * x.

@@ -605,6 +605,59 @@ TEST(Capture, ConvStackMatchesOracleBitwiseAndHandWrittenToUlp) {
   }
 }
 
+TEST(Capture, Conv1dSeqForwardIsBitwiseIdenticalToOracleAndFusedPlan) {
+  // Conv1dSeq::forward and the graph share one lowering (im2row + micro
+  // matmul + bias row), so the hand-written layer, the interpreter and the
+  // compiled plan agree to the last bit — alone and inside the
+  // conv -> relu -> maxpool chain that fuse_conv collapses.
+  treu::core::Rng rng(24);
+  tn::Sequential conv_only;
+  conv_only.emplace<tn::Conv1dSeq>(5, 7, 3, rng);
+  tg::Captured single = tg::capture_sequential(conv_only, 5);
+  const tg::Plan single_plan = tg::compile(single.graph, {});
+  const tg::Interpreter single_interp(single.graph);
+
+  tn::Sequential chain;
+  chain.emplace<tn::Conv1dSeq>(5, 7, 3, rng);
+  chain.emplace<tn::ReLU>();
+  chain.emplace<tn::GlobalMaxPool>();
+  tg::Captured fused = tg::capture_sequential(chain, 5);
+  tg::CompileOptions opts;
+  opts.fuse_conv = true;
+  const tg::Plan fused_plan = tg::compile(fused.graph, opts);
+  ASSERT_EQ(fused_plan.report().conv_fused, 1u);
+  const tg::Interpreter fused_interp(fused.graph);
+
+  for (const std::size_t seq : {3u, 10u, 70u}) {  // 70 spans two fused blocks
+    const tt::Matrix x = rand_matrix(rng, seq, 5);
+    const tt::Matrix hand = conv_only.forward(x);
+    EXPECT_TRUE(bitwise_equal(hand, single_interp.run(x))) << "seq " << seq;
+    EXPECT_TRUE(bitwise_equal(hand, single_plan.run(x))) << "seq " << seq;
+    const tt::Matrix pooled = chain.forward(x);
+    EXPECT_TRUE(bitwise_equal(pooled, fused_interp.run(x))) << "seq " << seq;
+    EXPECT_TRUE(bitwise_equal(pooled, fused_plan.run(x))) << "seq " << seq;
+  }
+}
+
+TEST(Capture, AttentionForwardIsBitwiseIdenticalToOracle) {
+  // attention's scores run on matmul_transposed, which packs K^T onto the
+  // micro matmul — the graph's MatMul(Q, Transpose(K)) bit for bit.
+  treu::core::Rng rng(25);
+  const std::size_t seq = 7;
+  tn::Sequential mha;
+  mha.emplace<tn::MultiHeadAttention>(8, 2, rng);
+  tn::Sequential block;
+  block.emplace<tn::TransformerBlock>(8, 2, 16, rng);
+  for (tn::Sequential *net : {&mha, &block}) {
+    tg::Captured captured = tg::capture_sequential(*net, 8, tg::Dim::of(seq));
+    const tg::Plan plan = tg::compile(captured.graph, {});
+    const tt::Matrix x = rand_matrix(rng, seq, 8);
+    const tt::Matrix hand = net->forward(x);
+    EXPECT_TRUE(bitwise_equal(hand, tg::Interpreter(captured.graph).run(x)));
+    EXPECT_TRUE(bitwise_equal(hand, plan.run(x)));
+  }
+}
+
 TEST(Capture, TransformerBlockMatchesOracleBitwiseAndHandWrittenToUlp) {
   treu::core::Rng rng(22);
   const std::size_t seq = 5;

@@ -7,6 +7,7 @@
 #include <array>
 #include <cmath>
 #include <cstdlib>
+#include <cstring>
 #include <stdexcept>
 #include <tuple>
 #include <utility>
@@ -273,17 +274,28 @@ TEST(KernelAccounting, ByteFormulasArePositive) {
   EXPECT_GT(tt::conv2d_bytes(32, 32, 3, 3), 0.0);
 }
 
+// A^T B, the dense-layer weight gradient, on the dispatch surface: the
+// transposed activation times the gradient through fast_params().
+namespace {
+
+tt::Matrix atb(const tt::Matrix &a, const tt::Matrix &b) {
+  return tt::Kernel::matmul(a.transposed(), b, tt::Kernel::fast_params(),
+                            pool());
+}
+
+}  // namespace
+
 TEST(MatmulAtb, MatchesTransposeThenMultiply) {
   treu::core::Rng rng(30);
   const tt::Matrix a = tt::Matrix::random_normal(13, 7, rng);
   const tt::Matrix b = tt::Matrix::random_normal(13, 5, rng);
-  const tt::Matrix direct = tt::matmul_atb(a, b);
+  const tt::Matrix direct = atb(a, b);
   const tt::Matrix reference = tt::matmul(a.transposed(), b);
   EXPECT_LT(direct.max_abs_diff(reference), 1e-12);
 }
 
 TEST(MatmulAtb, RowMismatchThrows) {
-  EXPECT_THROW((void)tt::matmul_atb(tt::Matrix(3, 2), tt::Matrix(4, 2)),
+  EXPECT_THROW((void)atb(tt::Matrix(3, 2), tt::Matrix(4, 2)),
                std::invalid_argument);
 }
 
@@ -294,8 +306,7 @@ TEST(MatmulAtb, SparseInputFastPathIsExact) {
     if (rng.bernoulli(0.7)) v = 0.0;  // mostly zeros: exercises the skip
   }
   const tt::Matrix b = tt::Matrix::random_normal(20, 4, rng);
-  EXPECT_LT(tt::matmul_atb(a, b).max_abs_diff(tt::matmul(a.transposed(), b)),
-            1e-12);
+  EXPECT_LT(atb(a, b).max_abs_diff(tt::matmul(a.transposed(), b)), 1e-12);
 }
 
 // --- The Kernel dispatch surface: ISA x shape x register-tile parity ---------
@@ -510,6 +521,51 @@ TEST(KernelDispatch, SkipZeroAIsBitwiseExactOnMicroPath) {
   for (std::size_t r = 0; r < dense.rows(); ++r) {
     for (std::size_t c = 0; c < dense.cols(); ++c) {
       EXPECT_EQ(dense(r, c), sparse(r, c));
+    }
+  }
+}
+
+TEST(KernelDispatch, MatmulTransposedIsBitwiseInvariantAcrossIsaRtileAndPartition) {
+  // matmul_transposed packs B^T and runs the matmul microkernel, so like
+  // matmul it must not depend on the ISA, the register tile or the thread
+  // partition — and it must equal matmul against the explicit transpose.
+  treu::core::Rng rng(57);
+  const std::vector<std::array<std::size_t, 3>> shapes = {
+      {1, 1, 1}, {3, 7, 5}, {13, 9, 1}, {19, 17, 23}, {33, 31, 29}, {7, 21, 37}};
+  const std::vector<std::pair<std::size_t, std::size_t>> rtiles = {{4, 8},
+                                                                   {6, 16}};
+  for (const auto &[m, n, k] : shapes) {
+    const tt::Matrix a = tt::Matrix::random_uniform(m, k, rng, -1.0, 1.0);
+    const tt::Matrix bt = tt::Matrix::random_uniform(n, k, rng, -1.0, 1.0);
+    tt::KernelParams ref_p;
+    ref_p.rtile_m = 4;
+    ref_p.rtile_n = 8;
+    const tt::Matrix ref = tt::Kernel::matmul_transposed(a, bt, ref_p, pool());
+    const tt::Matrix via_t =
+        tt::Kernel::matmul(a, bt.transposed(), ref_p, pool());
+    ASSERT_EQ(ref.rows(), m);
+    ASSERT_EQ(ref.cols(), n);
+    EXPECT_EQ(std::memcmp(ref.data(), via_t.data(), ref.size() * sizeof(double)),
+              0)
+        << m << "x" << n << "x" << k << " vs matmul of the transpose";
+    for (const tt::Isa isa : testable_isas()) {
+      for (const auto &[rm, rn] : rtiles) {
+        for (const bool par : {false, true}) {
+          tt::KernelParams p;
+          p.isa = isa;
+          p.rtile_m = rm;
+          p.rtile_n = rn;
+          p.parallel = par;
+          p.tile_i = par ? 5 : 0;  // several row blocks on the pool
+          const tt::Matrix c = tt::Kernel::matmul_transposed(a, bt, p, pool());
+          ASSERT_EQ(c.rows(), m);
+          ASSERT_EQ(c.cols(), n);
+          EXPECT_EQ(std::memcmp(ref.data(), c.data(), c.size() * sizeof(double)),
+                    0)
+              << m << "x" << n << "x" << k << " isa=" << tt::to_string(isa)
+              << " rtile=" << rm << "x" << rn << " parallel=" << par;
+        }
+      }
     }
   }
 }

@@ -6,6 +6,7 @@
 
 #include <cmath>
 #include <functional>
+#include <vector>
 
 #include "treu/core/rng.hpp"
 #include "treu/nn/attention.hpp"
@@ -144,6 +145,17 @@ TEST(GradCheck, Conv1dSeq) {
   check_layer_gradients(layer, smooth_input(9, 3, 19));
 }
 
+TEST(GradCheck, Conv1dSeqReluGlobalMaxPoolChain) {
+  // Behind ReLU and GlobalMaxPool the gradient reaching Conv1dSeq has at
+  // most one nonzero per filter, which drives its zero-skipping backward.
+  treu::core::Rng rng(7);
+  nn::Sequential net;
+  net.emplace<nn::Conv1dSeq>(3, 5, 3, rng);
+  net.emplace<nn::ReLU>();
+  net.emplace<nn::GlobalMaxPool>();
+  check_layer_gradients(net, smooth_input(11, 3, 23));
+}
+
 TEST(GradCheck, SequentialComposition) {
   treu::core::Rng rng(5);
   nn::Sequential net;
@@ -151,6 +163,59 @@ TEST(GradCheck, SequentialComposition) {
   net.emplace<nn::Tanh>();
   net.emplace<nn::Dense>(6, 3, rng);
   check_layer_gradients(net, smooth_input(2, 4, 20));
+}
+
+namespace {
+
+// Two forward/backward calls without zero_grad in between must leave every
+// Param::grad at the sum of the two single-call gradients.
+void check_gradients_accumulate(nn::Layer &layer, const tt::Matrix &x1,
+                                const tt::Matrix &x2) {
+  const auto grads_of = [&](const tt::Matrix &x) {
+    for (nn::Param *p : layer.params()) p->zero_grad();
+    const tt::Matrix out = layer.forward(x);
+    (void)layer.backward(coefficients(out.rows(), out.cols()));
+    std::vector<tt::Matrix> g;
+    for (nn::Param *p : layer.params()) g.push_back(p->grad);
+    return g;
+  };
+  const std::vector<tt::Matrix> g1 = grads_of(x1);
+  const std::vector<tt::Matrix> g2 = grads_of(x2);
+
+  for (nn::Param *p : layer.params()) p->zero_grad();
+  for (const tt::Matrix *x : {&x1, &x2}) {
+    const tt::Matrix out = layer.forward(*x);
+    (void)layer.backward(coefficients(out.rows(), out.cols()));
+  }
+  const auto params = layer.params();
+  ASSERT_EQ(params.size(), g1.size());
+  for (std::size_t i = 0; i < params.size(); ++i) {
+    EXPECT_LT(params[i]->grad.max_abs_diff(g1[i] + g2[i]), 1e-12)
+        << "param " << i;
+  }
+}
+
+}  // namespace
+
+TEST(GradAccumulation, DenseSumsTwoBackwardCalls) {
+  treu::core::Rng rng(8);
+  nn::Dense layer(6, 5, rng);
+  check_gradients_accumulate(layer, smooth_input(4, 6, 24),
+                             smooth_input(3, 6, 25));
+}
+
+TEST(GradAccumulation, Conv1dSeqSumsTwoBackwardCalls) {
+  treu::core::Rng rng(9);
+  nn::Conv1dSeq layer(3, 4, 3, rng);
+  check_gradients_accumulate(layer, smooth_input(9, 3, 26),
+                             smooth_input(7, 3, 27));
+}
+
+TEST(GradAccumulation, MultiHeadAttentionSumsTwoBackwardCalls) {
+  treu::core::Rng rng(10);
+  nn::MultiHeadAttention layer(6, 2, rng);
+  check_gradients_accumulate(layer, smooth_input(4, 6, 28),
+                             smooth_input(5, 6, 29));
 }
 
 TEST(GradCheck, EmbeddingAccumulatesRowGradients) {
