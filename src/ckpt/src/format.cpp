@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <cstring>
 
+#include "file_io.hpp"
 #include "treu/core/sha256.hpp"
 
 namespace treu::ckpt {
@@ -180,9 +181,8 @@ DecodeResult decode_sections(std::span<const std::uint8_t> bytes) {
   return result;
 }
 
-namespace {
+namespace detail {
 
-// fsync a path's parent directory so the rename itself is durable.
 void fsync_parent_dir(const std::string &path) {
   const auto slash = path.find_last_of('/');
   const std::string dir = slash == std::string::npos
@@ -208,7 +208,7 @@ bool write_all(int fd, std::span<const std::uint8_t> bytes) {
   return true;
 }
 
-}  // namespace
+}  // namespace detail
 
 AtomicWriteResult atomic_write_file(const std::string &path,
                                     std::span<const std::uint8_t> bytes,
@@ -231,7 +231,7 @@ AtomicWriteResult atomic_write_file(const std::string &path,
       decision.kind == fault::FileFaultKind::Truncate
           ? bytes.first(static_cast<std::size_t>(decision.truncate_at))
           : bytes;
-  if (!write_all(fd, payload)) {
+  if (!detail::write_all(fd, payload)) {
     result.error = "write failed: " + tmp + ": " + std::strerror(errno);
     (void)::close(fd);
     (void)std::remove(tmp.c_str());
@@ -261,7 +261,7 @@ AtomicWriteResult atomic_write_file(const std::string &path,
     (void)std::remove(tmp.c_str());
     return result;
   }
-  fsync_parent_dir(path);
+  detail::fsync_parent_dir(path);
   result.committed = true;
 
   if (decision.kind == fault::FileFaultKind::FlipBit) {

@@ -1,15 +1,12 @@
 #include "treu/ckpt/store.hpp"
 
-#include <fcntl.h>
-#include <unistd.h>
-
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
 #include <sstream>
 #include <utility>
 
+#include "file_io.hpp"
 #include "treu/obs/obs.hpp"
 
 namespace fs = std::filesystem;
@@ -56,14 +53,6 @@ std::optional<Manifest> parse_manifest(const std::vector<std::uint8_t> &raw) {
   // damaged either way — reject it rather than follow it.
   if (m.filename.find('/') != std::string::npos) return std::nullopt;
   return m;
-}
-
-void fsync_dir(const std::string &dir) {
-  const int fd = ::open(dir.c_str(), O_RDONLY);
-  if (fd >= 0) {
-    (void)::fsync(fd);
-    (void)::close(fd);
-  }
 }
 
 }  // namespace
@@ -181,7 +170,7 @@ CheckpointStore::RecoverReport CheckpointStore::recover() {
               if (hex(core::sha256(*bytes)) == manifest->digest_hex) {
                 salvaged =
                     std::rename(tmp.c_str(), manifest_path().c_str()) == 0;
-                if (salvaged) fsync_dir(dir_);
+                if (salvaged) detail::fsync_parent_dir(manifest_path());
               }
             }
           }

@@ -69,4 +69,8 @@ class Sha256 {
 /// numeric results).
 [[nodiscard]] Digest sha256_doubles(std::span<const double> xs) noexcept;
 
+/// One hash-chain step: SHA256(prev.bytes || item.bytes). Every chained
+/// record in the toolkit (core::Journal, ckpt::DurableLog) links this way.
+[[nodiscard]] Digest chain_next(const Digest &prev, const Digest &item) noexcept;
+
 }  // namespace treu::core

@@ -155,13 +155,8 @@ Digest RunRecord::digest() const { return sha256(canonical_string()); }
 Digest Journal::genesis() { return sha256("treu-journal-v1"); }
 
 Digest Journal::append(RunRecord record) {
-  const Digest prev = head();
-  const Digest rec = record.digest();
-  Sha256 h;
-  h.update(std::span<const std::uint8_t>(prev.bytes.data(), prev.bytes.size()));
-  h.update(std::span<const std::uint8_t>(rec.bytes.data(), rec.bytes.size()));
+  chain_.push_back(chain_next(head(), record.digest()));
   records_.push_back(std::move(record));
-  chain_.push_back(h.finish());
   return chain_.back();
 }
 
@@ -172,13 +167,7 @@ Digest Journal::head() const {
 std::optional<std::size_t> Journal::verify() const {
   Digest prev = genesis();
   for (std::size_t i = 0; i < records_.size(); ++i) {
-    const Digest rec = records_[i].digest();
-    Sha256 h;
-    h.update(
-        std::span<const std::uint8_t>(prev.bytes.data(), prev.bytes.size()));
-    h.update(std::span<const std::uint8_t>(rec.bytes.data(), rec.bytes.size()));
-    const Digest expect = h.finish();
-    if (!(expect == chain_[i])) return i;
+    if (!(chain_next(prev, records_[i].digest()) == chain_[i])) return i;
     prev = chain_[i];
   }
   return std::nullopt;

@@ -180,4 +180,8 @@ Digest sha256_doubles(std::span<const double> xs) noexcept {
       .finish();
 }
 
+Digest chain_next(const Digest &prev, const Digest &item) noexcept {
+  return Sha256().update(prev.bytes).update(item.bytes).finish();
+}
+
 }  // namespace treu::core

@@ -7,20 +7,18 @@
 //
 //   1. the checkpoint container commits through the store's atomic
 //      tmp+fsync+rename protocol (ckpt-<step>.treu);
-//   2. one record is appended to <dir>/registry.log — write(2) with
-//      O_APPEND, then fsync — naming the file, its SHA-256, the
-//      checkpoint's weight digest, and the digest of the *previous*
-//      record.
+//   2. one record is appended to <dir>/registry.log, a ckpt::DurableLog
+//      (O_APPEND write, then fsync):
+//        entry v=<n> step=<n> file=<name> weights=<hex> bytes=<hex> d=<hex>
 //
-// Each record's own digest covers its predecessor's, so the log is a hash
-// chain anchored at a fixed genesis string: truncating, reordering, or
-// editing any record breaks verification from that point on — the
-// nonrepudiation property the paper's trust theme asks for. A crash
-// mid-append leaves a torn tail record; bit rot leaves a record whose
-// digest no longer verifies. scan() never throws on either: it classifies
-// (torn vs corrupt), keeps the verified prefix, and reports what it
-// dropped. repair() (run at construction) truncates the torn tail so the
-// next append starts on a record boundary.
+// The log owns the hash chain (each `d` covers its predecessor's; genesis
+// = SHA-256 of the header line), so truncating, reordering, or editing any
+// record breaks verification from that point on — the nonrepudiation
+// property the paper's trust theme asks for. scan() never throws: it
+// classifies damage (torn vs corrupt), keeps the verified prefix, and
+// reports what it dropped; a record that verifies but does not parse as
+// the next `entry` counts as torn. Construction cuts the log back to that
+// prefix so the next append starts on a record boundary.
 //
 // A chain-verified record is necessary but not sufficient to serve from:
 // the checkpoint *file* can rot independently of the log. An entry is
@@ -34,6 +32,7 @@
 #include <vector>
 
 #include "treu/ckpt/checkpoint.hpp"
+#include "treu/ckpt/durable_log.hpp"
 #include "treu/ckpt/store.hpp"
 
 namespace treu::pipeline {
@@ -46,7 +45,7 @@ struct RegistryEntry {
   std::string weight_digest;  // hex digest of the checkpoint's parameters
   std::string file_digest;    // hex SHA-256 of the committed container
   std::string prev_digest;    // predecessor's entry_digest (genesis for v1)
-  std::string entry_digest;   // SHA-256 over the canonical record text
+  std::string entry_digest;   // the record's chain digest (its `d=`)
   /// Filled by scan(): the on-disk file still hashes to file_digest, so
   /// these exact bytes may be loaded and served.
   bool vetted = false;
@@ -66,9 +65,10 @@ struct PublishFaults {
 
 class ModelRegistry {
  public:
-  /// Opens (creating if needed) the registry at `dir`. Runs a scan and
-  /// repairs the log's torn tail, so appends resume on a record boundary
-  /// after any crash. `injector` (not owned, may be null) faults the
+  /// Opens (creating the directory if needed) the registry at `dir`. Runs a
+  /// scan and cuts the log back to its verified prefix, so appends resume
+  /// on a record boundary after any crash; a missing log is not created.
+  /// `injector` (not owned, may be null) faults the
   /// checkpoint writes, same as CheckpointStore.
   explicit ModelRegistry(std::string dir,
                          fault::FileInjector *injector = nullptr);
@@ -125,18 +125,13 @@ class ModelRegistry {
   [[nodiscard]] std::string log_path() const { return dir_ + "/registry.log"; }
   [[nodiscard]] ckpt::CheckpointStore &store() noexcept { return store_; }
 
-  /// The canonical text a record's digest is computed over.
-  [[nodiscard]] static std::string canonical_record(const RegistryEntry &e);
-  /// Chain anchor: SHA-256 of "treu-model-registry v1".
+  /// Chain anchor: SHA-256 of the header line "treu-model-registry v2".
   [[nodiscard]] static std::string genesis_digest();
 
  private:
-  bool append_record(const RegistryEntry &entry, bool tear,
-                     std::string *error);
-  void repair();  // truncate the log to its verified prefix
-
   std::string dir_;
   ckpt::CheckpointStore store_;
+  ckpt::DurableLog log_;
   // Verified chain as of construction plus successful publishes since.
   std::vector<RegistryEntry> entries_;
 };

@@ -6,11 +6,13 @@
 //                              │                         (idempotent hook)
 //                              └──verdict fail──> RollingBack ──> RolledBack
 //
-// Every transition is journaled to an append-only state file *before* the
-// action it names runs (write-ahead intent logging), and each journal
-// append is fsynced. A controller killed at any instruction therefore
-// leaves a journal whose last line names exactly how far the cycle got,
-// and resume() completes the cycle from that line alone:
+// Every transition is journaled *before* the action it names runs
+// (write-ahead intent logging) to a ckpt::DurableLog, the fsynced,
+// hash-chained format of registry.log: an edited line (say a `fail`
+// verdict rewritten to `pass`) fails its digest and is cut like a torn
+// tail instead of replaying as a decision. A controller killed at any
+// instruction therefore leaves a journal whose last line names exactly how
+// far the cycle got, and resume() completes the cycle from that line alone:
 //
 //   last line            resume action
 //   cycle <n> ...        rollback  (published, never canaried)
@@ -20,7 +22,7 @@
 //   state <n> promoting  promote   (intent logged; finish the promotion)
 //   state <n> rolling-back rollback
 //
-// Every journal line is clock-free — cycle numbers, registry versions,
+// Every journal payload is clock-free — cycle numbers, registry versions,
 // digests, and fixed-precision scores only — so two same-seed runs (and a
 // crashed run plus its resumed half) produce byte-identical journals. The
 // promote/rollback hooks must be idempotent: resume may re-run an action
@@ -41,6 +43,7 @@
 #include <functional>
 #include <string>
 
+#include "treu/ckpt/durable_log.hpp"
 #include "treu/fault/fault_plan.hpp"
 #include "treu/pipeline/registry.hpp"
 
@@ -135,20 +138,21 @@ struct ResumeReport {
   std::uint64_t cycle = 0;
   RolloutState from = RolloutState::Idle;   // journal tail at restart
   RolloutState state = RolloutState::Idle;  // state after convergence
-  std::size_t torn_journal_lines = 0;       // truncated torn tail lines
+  std::size_t torn_journal_lines = 0;       // journal lines cut at open
 };
 
 class RolloutController {
  public:
-  /// Reads the journal at `journal_path` (creating it if missing) to
-  /// restore cycle count, incumbent, and any interrupted cycle. Does not
-  /// act on an interrupted cycle — call resume() before run_cycle().
+  /// Replays the journal at `journal_path` (created by the first append) to
+  /// restore cycle count, incumbent, and any interrupted cycle, cutting
+  /// every line after the verified, parseable prefix. Does not act on an
+  /// interrupted cycle — call resume() before run_cycle().
   RolloutController(ModelRegistry &registry, RolloutHooks hooks,
                     const RolloutConfig &config, std::string journal_path);
 
   /// Complete any interrupted cycle per the table above. Safe to call when
   /// nothing is pending (reports resumed=false). Never throws on damaged
-  /// journals: a torn tail is truncated and counted.
+  /// journals: damaged lines were cut at construction (torn_journal_lines).
   ResumeReport resume();
 
   /// Drive one full publish→canary→promote/rollback cycle. Throws
@@ -168,7 +172,7 @@ class RolloutController {
     return pending_resume_;
   }
   [[nodiscard]] const std::string &journal_path() const noexcept {
-    return journal_path_;
+    return journal_.path();
   }
   /// Current on-disk journal bytes (the byte-identity surface).
   [[nodiscard]] std::string journal_string() const;
@@ -176,7 +180,6 @@ class RolloutController {
  private:
   struct JournalTail;  // defined in rollout.cpp
 
-  bool journal_append(const std::string &line);
   void journal_state(std::uint64_t cycle, RolloutState s);
   [[nodiscard]] bool crash_here(CrashPoint point);
   void do_promote(std::uint64_t cycle, const RegistryEntry &entry,
@@ -187,7 +190,7 @@ class RolloutController {
   ModelRegistry &registry_;
   RolloutHooks hooks_;
   RolloutConfig config_;
-  std::string journal_path_;
+  ckpt::DurableLog journal_;
 
   RolloutState state_ = RolloutState::Idle;
   std::uint64_t cycle_ = 0;              // last cycle number seen/used

@@ -1,249 +1,92 @@
 #include "treu/pipeline/registry.hpp"
 
-#include <fcntl.h>
-#include <unistd.h>
-
-#include <cerrno>
-#include <cstdio>
-#include <cstring>
-#include <filesystem>
-#include <sstream>
 #include <utility>
 
+#include "payload_words.hpp"
 #include "treu/core/sha256.hpp"
 #include "treu/obs/obs.hpp"
-
-namespace fs = std::filesystem;
 
 namespace treu::pipeline {
 namespace {
 
-constexpr const char *kLogHeader = "treu-model-registry v1";
-constexpr const char *kRecordTag = "entry";
+constexpr const char *kLogHeader = "treu-model-registry v2";
 
-// Field helper: "<key>=<value>" with the exact key, or nullopt.
-std::optional<std::string> field(const std::string &token,
-                                 const std::string &key) {
-  if (token.size() <= key.size() + 1) return std::nullopt;
-  if (token.compare(0, key.size(), key) != 0) return std::nullopt;
-  if (token[key.size()] != '=') return std::nullopt;
-  return token.substr(key.size() + 1);
+bool valid_hex64(std::string_view s) {
+  return s.size() == 64 &&
+         s.find_first_not_of("0123456789abcdef") == std::string_view::npos;
 }
 
-std::optional<std::uint64_t> parse_u64(const std::string &digits) {
-  if (digits.empty()) return std::nullopt;
-  std::uint64_t value = 0;
-  for (const char c : digits) {
-    if (c < '0' || c > '9') return std::nullopt;
-    const auto d = static_cast<std::uint64_t>(c - '0');
-    if (value > (UINT64_MAX - d) / 10) return std::nullopt;
-    value = value * 10 + d;
-  }
-  return value;
-}
-
-bool valid_hex64(const std::string &s) {
-  if (s.size() != 64) return false;
-  for (const char c : s) {
-    const bool ok =
-        (c >= '0' && c <= '9') || (c >= 'a' && c <= 'f');
-    if (!ok) return false;
-  }
-  return true;
-}
-
-// "entry v=<n> step=<n> file=<name> weights=<hex> bytes=<hex> prev=<hex>
-//  d=<hex>"  (one line). Structural damage -> nullopt.
-std::optional<RegistryEntry> parse_record(const std::string &line) {
-  std::istringstream in(line);
-  std::string tag, v, step, file, weights, bytes, prev, d, extra;
-  if (!(in >> tag >> v >> step >> file >> weights >> bytes >> prev >> d)) {
+// "entry v=<n> step=<n> file=<name> weights=<hex> bytes=<hex>". A payload
+// that does not match (or names a path outside the registry dir) ->
+// nullopt. The chain digests are filled in by the caller.
+std::optional<RegistryEntry> parse_payload(std::string_view payload) {
+  const auto w = detail::words(payload);
+  if (w.size() != 6 || w[0] != "entry") return std::nullopt;
+  const auto version = detail::u64_field(w[1], "v");
+  const auto step = detail::u64_field(w[2], "step");
+  const auto file = detail::field(w[3], "file");
+  const auto weights = detail::field(w[4], "weights");
+  const auto bytes = detail::field(w[5], "bytes");
+  if (!version || !step || !file || !weights || !bytes ||
+      file->find('/') != std::string_view::npos || !valid_hex64(*weights) ||
+      !valid_hex64(*bytes)) {
     return std::nullopt;
   }
-  if (in >> extra) return std::nullopt;
-  if (tag != kRecordTag) return std::nullopt;
   RegistryEntry e;
-  const auto fv = field(v, "v");
-  const auto fstep = field(step, "step");
-  const auto ffile = field(file, "file");
-  const auto fweights = field(weights, "weights");
-  const auto fbytes = field(bytes, "bytes");
-  const auto fprev = field(prev, "prev");
-  const auto fd = field(d, "d");
-  if (!fv || !fstep || !ffile || !fweights || !fbytes || !fprev || !fd) {
-    return std::nullopt;
-  }
-  const auto version = parse_u64(*fv);
-  const auto step_n = parse_u64(*fstep);
-  if (!version || !step_n) return std::nullopt;
-  if (!valid_hex64(*fweights) || !valid_hex64(*fbytes) ||
-      !valid_hex64(*fprev) || !valid_hex64(*fd)) {
-    return std::nullopt;
-  }
-  // A record naming a path outside the registry dir is damaged or hostile.
-  if (ffile->empty() || ffile->find('/') != std::string::npos) {
-    return std::nullopt;
-  }
   e.version = *version;
-  e.step = *step_n;
-  e.filename = *ffile;
-  e.weight_digest = *fweights;
-  e.file_digest = *fbytes;
-  e.prev_digest = *fprev;
-  e.entry_digest = *fd;
+  e.step = *step;
+  e.filename = *file;
+  e.weight_digest = *weights;
+  e.file_digest = *bytes;
   return e;
 }
 
-std::string format_record(const RegistryEntry &e) {
-  std::string line = kRecordTag;
-  line += " v=" + std::to_string(e.version);
-  line += " step=" + std::to_string(e.step);
-  line += " file=" + e.filename;
-  line += " weights=" + e.weight_digest;
-  line += " bytes=" + e.file_digest;
-  line += " prev=" + e.prev_digest;
-  line += " d=" + e.entry_digest;
-  line += '\n';
-  return line;
-}
-
-// Append `text` to `path` and fsync. `tear` keeps only the first half of
-// the bytes — the on-disk footprint of a crash mid-append.
-bool append_fsync(const std::string &path, const std::string &text, bool tear,
-                  std::string *error) {
-  const int fd = ::open(path.c_str(), O_WRONLY | O_APPEND | O_CREAT, 0644);
-  if (fd < 0) {
-    if (error) *error = "open failed: " + path + ": " + std::strerror(errno);
-    return false;
-  }
-  const std::size_t n = tear ? text.size() / 2 : text.size();
-  std::size_t written = 0;
-  bool ok = true;
-  while (written < n) {
-    const ssize_t w = ::write(fd, text.data() + written, n - written);
-    if (w < 0) {
-      if (errno == EINTR) continue;
-      if (error) {
-        *error = "write failed: " + path + ": " + std::strerror(errno);
-      }
-      ok = false;
-      break;
-    }
-    written += static_cast<std::size_t>(w);
-  }
-  if (ok && ::fsync(fd) != 0) {
-    if (error) *error = "fsync failed: " + path + ": " + std::strerror(errno);
-    ok = false;
-  }
-  (void)::close(fd);
-  return ok;
+std::string format_payload(const RegistryEntry &e) {
+  return "entry v=" + std::to_string(e.version) +
+         " step=" + std::to_string(e.step) + " file=" + e.filename +
+         " weights=" + e.weight_digest + " bytes=" + e.file_digest;
 }
 
 }  // namespace
-
-std::string ModelRegistry::canonical_record(const RegistryEntry &e) {
-  std::string text = "treu-registry-entry v1";
-  text += " v=" + std::to_string(e.version);
-  text += " step=" + std::to_string(e.step);
-  text += " file=" + e.filename;
-  text += " weights=" + e.weight_digest;
-  text += " bytes=" + e.file_digest;
-  text += " prev=" + e.prev_digest;
-  return text;
-}
 
 std::string ModelRegistry::genesis_digest() {
   return core::sha256(std::string_view(kLogHeader)).hex();
 }
 
 ModelRegistry::ModelRegistry(std::string dir, fault::FileInjector *injector)
-    : dir_(std::move(dir)), store_(dir_, injector) {
+    : dir_(std::move(dir)),
+      store_(dir_, injector),
+      log_(dir_ + "/registry.log", kLogHeader) {
   // CheckpointStore's constructor created the directory. Load the verified
-  // chain and drop any torn tail so the next append starts clean.
-  const ScanReport report = scan();
-  entries_ = report.entries;
-  repair();
-}
-
-void ModelRegistry::repair() {
-  const auto raw = ckpt::read_file(log_path());
-  if (!raw) return;
-  // Rebuild the byte length of the verified prefix: header + each verified
-  // record, all newline-terminated.
-  std::string good = std::string(kLogHeader) + "\n";
-  for (const auto &e : entries_) good += format_record(e);
-  const std::string on_disk(raw->begin(), raw->end());
-  if (on_disk == good) return;
-  if (on_disk.size() > good.size() &&
-      on_disk.compare(0, good.size(), good) == 0) {
-    // Torn/bad tail after a verified prefix: truncate to the boundary.
-    std::error_code ec;
-    fs::resize_file(log_path(), good.size(), ec);
-    return;
-  }
-  // The header itself (or the whole prefix) is damaged: scan() already
-  // reported zero verified entries for this shape, so restart the log.
-  if (entries_.empty()) {
-    std::error_code ec;
-    fs::remove(log_path(), ec);
-  }
+  // chain and cut everything after it so the next append starts clean.
+  entries_ = scan().entries;
+  (void)log_.repair(entries_.size());
 }
 
 ModelRegistry::ScanReport ModelRegistry::scan() const {
+  const ckpt::DurableLog::Scan log = log_.scan();
   ScanReport report;
-  const auto raw = ckpt::read_file(log_path());
-  if (!raw) {
-    report.log_missing = true;
-    return report;
-  }
-  const std::string text(raw->begin(), raw->end());
-
-  // Split into newline-terminated lines; a dangling final fragment is the
-  // classic torn append.
-  std::vector<std::string> lines;
-  bool dangling = false;
-  std::size_t start = 0;
-  while (start < text.size()) {
-    const std::size_t nl = text.find('\n', start);
-    if (nl == std::string::npos) {
-      dangling = true;
-      lines.push_back(text.substr(start));
-      break;
-    }
-    lines.push_back(text.substr(start, nl - start));
-    start = nl + 1;
-  }
-
-  if (lines.empty() || lines[0] != kLogHeader) {
-    // No verifiable chain at all: a missing or damaged header orphans
-    // every record (their provenance anchor is gone).
-    report.torn = lines.size();
-    return report;
-  }
+  report.log_missing = log.missing;
+  report.torn = log.torn;
+  report.corrupt = log.corrupt;
+  report.dropped = log.dropped;
 
   std::string prev = genesis_digest();
-  std::uint64_t next_version = 1;
-  for (std::size_t i = 1; i < lines.size(); ++i) {
-    const bool is_dangling_tail = dangling && i + 1 == lines.size();
-    const std::optional<RegistryEntry> parsed =
-        is_dangling_tail ? std::optional<RegistryEntry>{}
-                         : parse_record(lines[i]);
-    if (!parsed) {
-      ++report.torn;
-      report.dropped = lines.size() - i - 1;
+  for (std::size_t i = 0; i < log.records.size(); ++i) {
+    std::optional<RegistryEntry> entry = parse_payload(log.records[i].payload);
+    if (!entry || entry->version != i + 1) {
+      // Chain-verified but not a registry record: structural damage, and
+      // every line after it is unverifiable.
+      report.dropped = log.records.size() - i - 1 + log.torn + log.corrupt +
+                       log.dropped;
+      report.torn = 1;
+      report.corrupt = 0;
       break;
     }
-    const bool chain_ok =
-        parsed->prev_digest == prev && parsed->version == next_version &&
-        parsed->entry_digest == core::sha256(canonical_record(*parsed)).hex();
-    if (!chain_ok) {
-      ++report.corrupt;
-      report.dropped = lines.size() - i - 1;
-      break;
-    }
-    prev = parsed->entry_digest;
-    ++next_version;
-    report.entries.push_back(std::move(*parsed));
+    entry->prev_digest = prev;
+    entry->entry_digest = log.records[i].digest.hex();
+    prev = entry->entry_digest;
+    report.entries.push_back(std::move(*entry));
   }
 
   for (auto &entry : report.entries) {
@@ -263,9 +106,7 @@ ckpt::LoadResult ModelRegistry::load(const RegistryEntry &entry) const {
   return ckpt::load_checkpoint_file(dir_ + "/" + entry.filename);
 }
 
-std::string ModelRegistry::head_digest() const {
-  return entries_.empty() ? genesis_digest() : entries_.back().entry_digest;
-}
+std::string ModelRegistry::head_digest() const { return log_.head().hex(); }
 
 std::uint64_t ModelRegistry::head_version() const {
   return entries_.empty() ? 0 : entries_.back().version;
@@ -285,17 +126,6 @@ std::optional<RegistryEntry> ModelRegistry::entry_for_version(
     if (e.version == version) return e;
   }
   return std::nullopt;
-}
-
-bool ModelRegistry::append_record(const RegistryEntry &entry, bool tear,
-                                  std::string *error) {
-  if (!fs::exists(log_path())) {
-    if (!append_fsync(log_path(), std::string(kLogHeader) + "\n", false,
-                      error)) {
-      return false;
-    }
-  }
-  return append_fsync(log_path(), format_record(entry), tear, error);
 }
 
 ModelRegistry::PublishReport ModelRegistry::publish(
@@ -320,11 +150,7 @@ ModelRegistry::PublishReport ModelRegistry::publish(
     if (auto on_disk = ckpt::read_file(wr.path)) {
       if (!on_disk->empty()) {
         (*on_disk)[on_disk->size() / 2] ^= 0x20;
-        std::FILE *f = std::fopen(wr.path.c_str(), "wb");
-        if (f != nullptr) {
-          (void)std::fwrite(on_disk->data(), 1, on_disk->size(), f);
-          (void)std::fclose(f);
-        }
+        (void)ckpt::atomic_write_file(wr.path, *on_disk);
       }
     }
   }
@@ -336,21 +162,21 @@ ModelRegistry::PublishReport ModelRegistry::publish(
   entry.weight_digest = ckpt.weight_digest().hex();
   entry.file_digest = core::sha256(bytes).hex();
   entry.prev_digest = head_digest();
-  entry.entry_digest = core::sha256(canonical_record(entry)).hex();
+  const std::string payload = format_payload(entry);
 
   if (faults.tear_log) {
-    std::string error;
-    (void)append_record(entry, /*tear=*/true, &error);
+    log_.append_torn(payload);
     report.torn_log = true;
     report.error = "registry log append torn (simulated crash)";
     TREU_OBS_COUNTER_ADD("pipeline.publish.torn_log", 1);
     return report;
   }
 
-  if (!append_record(entry, /*tear=*/false, &report.error)) {
+  if (!log_.append(payload, &report.error)) {
     TREU_OBS_COUNTER_ADD("pipeline.publish.failed", 1);
     return report;
   }
+  entry.entry_digest = head_digest();
   report.logged = true;
   entries_.push_back(entry);
 

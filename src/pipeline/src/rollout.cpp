@@ -1,45 +1,18 @@
 #include "treu/pipeline/rollout.hpp"
 
-#include <fcntl.h>
-#include <unistd.h>
-
-#include <cerrno>
+#include <algorithm>
 #include <cstdio>
-#include <cstring>
-#include <filesystem>
-#include <sstream>
 #include <stdexcept>
 #include <unordered_map>
 #include <utility>
 
+#include "payload_words.hpp"
 #include "treu/obs/obs.hpp"
-
-namespace fs = std::filesystem;
 
 namespace treu::pipeline {
 namespace {
 
-constexpr const char *kJournalHeader = "treu-rollout-journal v1";
-
-bool append_fsync(const std::string &path, const std::string &text) {
-  const int fd = ::open(path.c_str(), O_WRONLY | O_APPEND | O_CREAT, 0644);
-  if (fd < 0) return false;
-  std::size_t written = 0;
-  bool ok = true;
-  while (written < text.size()) {
-    const ssize_t w =
-        ::write(fd, text.data() + written, text.size() - written);
-    if (w < 0) {
-      if (errno == EINTR) continue;
-      ok = false;
-      break;
-    }
-    written += static_cast<std::size_t>(w);
-  }
-  if (ok && ::fsync(fd) != 0) ok = false;
-  (void)::close(fd);
-  return ok;
-}
+constexpr const char *kJournalHeader = "treu-rollout-journal v2";
 
 std::string fixed6(double value) {
   char buf[64];
@@ -47,27 +20,7 @@ std::string fixed6(double value) {
   return buf;
 }
 
-std::optional<std::uint64_t> parse_u64(const std::string &digits) {
-  if (digits.empty()) return std::nullopt;
-  std::uint64_t value = 0;
-  for (const char c : digits) {
-    if (c < '0' || c > '9') return std::nullopt;
-    const auto d = static_cast<std::uint64_t>(c - '0');
-    if (value > (UINT64_MAX - d) / 10) return std::nullopt;
-    value = value * 10 + d;
-  }
-  return value;
-}
-
-std::optional<std::string> field(const std::string &token,
-                                 const std::string &key) {
-  if (token.size() <= key.size() + 1) return std::nullopt;
-  if (token.compare(0, key.size(), key) != 0) return std::nullopt;
-  if (token[key.size()] != '=') return std::nullopt;
-  return token.substr(key.size() + 1);
-}
-
-std::optional<RolloutState> state_from_name(const std::string &name) {
+std::optional<RolloutState> state_from_name(std::string_view name) {
   if (name == "canary") return RolloutState::Canary;
   if (name == "promoting") return RolloutState::Promoting;
   if (name == "promoted") return RolloutState::Promoted;
@@ -89,8 +42,60 @@ struct RolloutController::JournalTail {
   bool open_pass = false;
   RolloutState terminal = RolloutState::Idle;  // when not open
   std::uint64_t incumbent_version = 0;
-  std::size_t torn_lines = 0;
-  std::size_t good_bytes = 0;  // journal prefix that parsed clean
+  std::unordered_map<std::uint64_t, std::uint64_t> cycle_version;
+
+  // Fold one chain-verified payload into the tail; false if it is not a
+  // journal line (replay stops there and the line is cut).
+  bool replay(std::string_view payload) {
+    const auto w = detail::words(payload);
+    const auto n = w.size() >= 2 ? detail::parse_u64(w[1]) : std::nullopt;
+    if (!n) return false;
+    if (w[0] == "cycle" && w.size() == 5) {
+      const auto version = detail::u64_field(w[2], "version");
+      if (!version) return false;
+      cycle_version[*n] = *version;
+      last_cycle = std::max(last_cycle, *n);
+      open = true;
+      open_cycle = *n;
+      open_version = *version;
+      open_from = RolloutState::Idle;
+      open_has_verdict = false;
+      return true;
+    }
+    if (w[0] == "state" && w.size() == 3) {
+      const auto s = state_from_name(w[2]);
+      if (!s) return false;
+      last_cycle = std::max(last_cycle, *n);
+      if (*s == RolloutState::Promoted || *s == RolloutState::RolledBack) {
+        open = false;
+        terminal = *s;
+        if (*s == RolloutState::Promoted) {
+          incumbent_version = cycle_version[*n];
+        }
+      } else {
+        open = true;
+        open_cycle = *n;
+        open_from = *s;
+      }
+      return true;
+    }
+    if (w[0] == "verdict" && w.size() == 7 &&
+        (w[6] == "pass" || w[6] == "fail")) {
+      open = true;
+      open_cycle = *n;
+      open_from = RolloutState::Canary;
+      open_has_verdict = true;
+      open_pass = w[6] == "pass";
+      return true;
+    }
+    if (w[0] == "rejected" && w.size() == 4) {
+      last_cycle = std::max(last_cycle, *n);
+      open = false;
+      terminal = RolloutState::Idle;
+      return true;
+    }
+    return w[0] == "resume" && w.size() == 4;
+  }
 };
 
 RolloutController::RolloutController(ModelRegistry &registry,
@@ -100,152 +105,27 @@ RolloutController::RolloutController(ModelRegistry &registry,
     : registry_(registry),
       hooks_(std::move(hooks)),
       config_(config),
-      journal_path_(std::move(journal_path)) {
+      journal_(std::move(journal_path), kJournalHeader) {
   if (!hooks_.start_canary || !hooks_.score || !hooks_.promote ||
       !hooks_.rollback) {
     throw std::invalid_argument("RolloutController: empty hook");
   }
 
-  const auto raw = ckpt::read_file(journal_path_);
-  if (!raw) {
-    (void)append_fsync(journal_path_, std::string(kJournalHeader) + "\n");
-    return;
-  }
-
-  // Replay the journal. Stop at the first unparseable line (torn append or
-  // rot) and truncate to the clean prefix so the next append starts on a
-  // record boundary — the same classified-recovery posture as the registry.
-  const std::string text(raw->begin(), raw->end());
+  // Replay the chain-verified journal up to the first line that is not a
+  // journal line, then cut everything after it (torn append, rot, or an
+  // edit the chain caught) so the next append starts on a record boundary
+  // — the same classified-recovery posture as the registry.
   JournalTail tail;
-  std::unordered_map<std::uint64_t, std::uint64_t> cycle_version;
-  std::size_t start = 0;
-  bool first = true;
-  bool bad = false;
-  std::size_t remaining_lines = 0;
-  while (start < text.size()) {
-    const std::size_t nl = text.find('\n', start);
-    if (nl == std::string::npos) {
-      bad = true;  // dangling fragment: torn append
-      ++remaining_lines;
-      break;
-    }
-    const std::string line = text.substr(start, nl - start);
-
-    if (first) {
-      if (line != kJournalHeader) {
-        bad = true;
-        ++remaining_lines;
-        break;
-      }
-      first = false;
-      start = nl + 1;
-      tail.good_bytes = start;
-      continue;
-    }
-
-    std::istringstream in(line);
-    std::string tag;
-    in >> tag;
-    bool line_ok = false;
-    if (tag == "cycle") {
-      std::string n_tok, v_tok, step_tok, w_tok;
-      if (in >> n_tok >> v_tok >> step_tok >> w_tok) {
-        const auto n = parse_u64(n_tok);
-        const auto v = field(v_tok, "version");
-        if (n && v) {
-          if (const auto version = parse_u64(*v)) {
-            cycle_version[*n] = *version;
-            tail.last_cycle = std::max(tail.last_cycle, *n);
-            tail.open = true;
-            tail.open_cycle = *n;
-            tail.open_version = *version;
-            tail.open_from = RolloutState::Idle;
-            tail.open_has_verdict = false;
-            line_ok = true;
-          }
-        }
-      }
-    } else if (tag == "state") {
-      std::string n_tok, name;
-      if (in >> n_tok >> name) {
-        const auto n = parse_u64(n_tok);
-        const auto s = state_from_name(name);
-        if (n && s) {
-          tail.last_cycle = std::max(tail.last_cycle, *n);
-          if (*s == RolloutState::Promoted ||
-              *s == RolloutState::RolledBack) {
-            tail.open = false;
-            tail.terminal = *s;
-            if (*s == RolloutState::Promoted) {
-              tail.incumbent_version = cycle_version[*n];
-            }
-          } else {
-            tail.open = true;
-            tail.open_cycle = *n;
-            tail.open_from = *s;
-          }
-          line_ok = true;
-        }
-      }
-    } else if (tag == "verdict") {
-      std::string n_tok, cand, inc, goodput, errors, outcome;
-      if (in >> n_tok >> cand >> inc >> goodput >> errors >> outcome) {
-        const auto n = parse_u64(n_tok);
-        if (n && (outcome == "pass" || outcome == "fail")) {
-          tail.open = true;
-          tail.open_cycle = *n;
-          tail.open_from = RolloutState::Canary;
-          tail.open_has_verdict = true;
-          tail.open_pass = outcome == "pass";
-          line_ok = true;
-        }
-      }
-    } else if (tag == "rejected") {
-      std::string n_tok, rest;
-      if (in >> n_tok) {
-        const auto n = parse_u64(n_tok);
-        if (n) {
-          tail.last_cycle = std::max(tail.last_cycle, *n);
-          tail.open = false;
-          tail.terminal = RolloutState::Idle;
-          line_ok = true;
-        }
-      }
-    } else if (tag == "resume") {
-      std::string n_tok;
-      if (in >> n_tok && parse_u64(n_tok)) line_ok = true;
-    }
-
-    if (!line_ok) {
-      bad = true;
-      break;
-    }
-    start = nl + 1;
-    tail.good_bytes = start;
+  std::size_t replayed = 0;
+  for (const auto &record : journal_.scan().records) {
+    if (!tail.replay(record.payload)) break;
+    ++replayed;
   }
-  if (bad) {
-    // Count the torn tail (first bad line plus everything after it).
-    std::size_t pos = tail.good_bytes;
-    tail.torn_lines = remaining_lines;
-    while (pos < text.size()) {
-      const std::size_t nl = text.find('\n', pos);
-      ++tail.torn_lines;
-      if (nl == std::string::npos) break;
-      pos = nl + 1;
-    }
-    if (remaining_lines > 0 && tail.torn_lines > 0) {
-      --tail.torn_lines;  // the dangling fragment was counted once already
-    }
-    std::error_code ec;
-    fs::resize_file(journal_path_, tail.good_bytes, ec);
-  }
+  torn_journal_lines_ = journal_.repair(replayed);
 
   cycle_ = tail.last_cycle;
   incumbent_version_ = tail.incumbent_version;
-  torn_journal_lines_ = tail.torn_lines;
   if (tail.open) {
-    // open_version may come from an earlier `cycle` line of the same cycle.
-    if (tail.open_version == 0) tail.open_version = cycle_version[tail.open_cycle];
     pending_resume_ = true;
     pending_cycle_ = tail.open_cycle;
     pending_version_ = tail.open_version;
@@ -259,18 +139,14 @@ RolloutController::RolloutController(ModelRegistry &registry,
 }
 
 std::string RolloutController::journal_string() const {
-  const auto raw = ckpt::read_file(journal_path_);
+  const auto raw = ckpt::read_file(journal_.path());
   if (!raw) return {};
   return std::string(raw->begin(), raw->end());
 }
 
-bool RolloutController::journal_append(const std::string &line) {
-  return append_fsync(journal_path_, line + "\n");
-}
-
 void RolloutController::journal_state(std::uint64_t cycle, RolloutState s) {
-  (void)journal_append("state " + std::to_string(cycle) + " " +
-                       to_string(s));
+  (void)journal_.append("state " + std::to_string(cycle) + " " +
+                        to_string(s));
 }
 
 bool RolloutController::crash_here(CrashPoint point) {
@@ -376,9 +252,9 @@ ResumeReport RolloutController::resume() {
     }
   }
 
-  (void)journal_append("resume " + std::to_string(n) + " from=" + from_tag +
-                       " action=" +
-                       (promote_action ? "promote" : "rollback"));
+  (void)journal_.append("resume " + std::to_string(n) + " from=" + from_tag +
+                        " action=" +
+                        (promote_action ? "promote" : "rollback"));
   TREU_OBS_COUNTER_ADD("pipeline.resumes_total", 1);
   TREU_OBS_FR_EVENT(PipelineResume, 0, n,
                     static_cast<std::uint64_t>(pending_from_));
@@ -438,8 +314,8 @@ CycleReport RolloutController::run_cycle(
     return report;
   }
   if (!pub.logged) {
-    (void)journal_append("rejected " + std::to_string(n) +
-                         " version=0 reason=publish-failed");
+    (void)journal_.append("rejected " + std::to_string(n) +
+                          " version=0 reason=publish-failed");
     state_ = RolloutState::Idle;
     report.state = state_;
     report.error = pub.error;
@@ -451,15 +327,15 @@ CycleReport RolloutController::run_cycle(
   if (!pub.vetted) {
     // Chain record is durable but the container failed read-back
     // verification (e.g. PublishCorrupt): never let it near traffic.
-    (void)journal_append("rejected " + std::to_string(n) +
-                         " version=" + std::to_string(pub.entry.version) +
-                         " reason=unvetted");
+    (void)journal_.append("rejected " + std::to_string(n) +
+                          " version=" + std::to_string(pub.entry.version) +
+                          " reason=unvetted");
     state_ = RolloutState::Idle;
     report.state = state_;
     return report;
   }
 
-  (void)journal_append(
+  (void)journal_.append(
       "cycle " + std::to_string(n) +
       " version=" + std::to_string(pub.entry.version) +
       " step=" + std::to_string(pub.entry.step) +
@@ -506,7 +382,7 @@ CycleReport RolloutController::run_cycle(
       report.verdict.candidate_score + config_.max_score_regression >=
           report.verdict.incumbent_score &&
       report.verdict.canary_goodput >= config_.min_canary_goodput;
-  (void)journal_append(
+  (void)journal_.append(
       "verdict " + std::to_string(n) +
       " cand=" + fixed6(report.verdict.candidate_score) +
       " inc=" + fixed6(report.verdict.incumbent_score) +

@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "treu/ckpt/checkpoint.hpp"
+#include "treu/ckpt/durable_log.hpp"
 #include "treu/ckpt/format.hpp"
 #include "treu/ckpt/store.hpp"
 #include "treu/core/rng.hpp"
@@ -153,6 +154,219 @@ TEST(CkptFormat, PayloadBitFlipIsCorrupt) {
   bad[bad.size() - 41] ^= 1;
   const auto d = ckpt::decode_sections(bad);
   EXPECT_EQ(d.failure, ckpt::DecodeFailure::Corrupt) << d.error;
+}
+
+// ---------------------------------------------------------------------------
+// DurableLog: the newline-framed, hash-chained append log
+
+constexpr const char *kLogHeader = "treu-test-log v1";
+
+// No payload byte is one bit away from '\n' (0x02 0x08 0x0B 0x0E 0x1A '*'
+// 'J' 0x8A), so a single flip inside a record stays inside that record.
+const std::vector<std::string> &log_payloads() {
+  static const std::vector<std::string> payloads = {
+      "alpha step=1", "beta step=22 ok", "gamma v=333 file=x.treu"};
+  return payloads;
+}
+
+std::string slurp(const std::string &path) {
+  const auto raw = ckpt::read_file(path);
+  return raw ? std::string(raw->begin(), raw->end()) : std::string();
+}
+
+void spit(const std::string &path, const std::string &text) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out << text;
+}
+
+/// A fresh three-record log at <dir>/log; returns its bytes.
+std::string three_record_log(const std::string &dir) {
+  std::filesystem::create_directories(dir);
+  ckpt::DurableLog log(dir + "/log", kLogHeader);
+  for (const std::string &p : log_payloads()) {
+    EXPECT_TRUE(log.append(p));
+  }
+  return slurp(dir + "/log");
+}
+
+std::vector<std::string> payloads_of(const ckpt::DurableLog::Scan &scan) {
+  std::vector<std::string> out;
+  for (const auto &r : scan.records) out.push_back(r.payload);
+  return out;
+}
+
+bool is_prefix_of_payloads(const ckpt::DurableLog::Scan &scan) {
+  const auto got = payloads_of(scan);
+  return got.size() <= log_payloads().size() &&
+         std::equal(got.begin(), got.end(), log_payloads().begin());
+}
+
+/// Open the (damaged) log, repair it to its verified prefix, append one
+/// record, and check the new record chains onto the surviving head.
+void expect_repair_then_append_chains(const std::string &path,
+                                      std::size_t verified) {
+  ckpt::DurableLog log(path, kLogHeader);
+  (void)log.repair(verified);
+  const treu::core::Digest head = log.head();
+  ASSERT_TRUE(log.append("delta after repair"));
+  const auto scan = log.scan();
+  ASSERT_EQ(scan.records.size(), verified + 1);
+  EXPECT_EQ(scan.torn + scan.corrupt + scan.dropped, 0u);
+  EXPECT_EQ(scan.records.back().payload, "delta after repair");
+  EXPECT_EQ(scan.records.back().digest,
+            treu::core::chain_next(
+                head, treu::core::sha256(std::string("delta after repair"))));
+}
+
+TEST(DurableLog, RecordsChainFromTheHeaderDigest) {
+  const std::string dir = fresh_dir("log_chain");
+  const std::string text = three_record_log(dir);
+  ckpt::DurableLog log(dir + "/log", kLogHeader);
+  EXPECT_EQ(log.genesis(), treu::core::sha256(std::string(kLogHeader)));
+
+  const auto scan = log.scan();
+  EXPECT_FALSE(scan.missing);
+  EXPECT_EQ(scan.torn + scan.corrupt + scan.dropped, 0u);
+  ASSERT_EQ(payloads_of(scan), log_payloads());
+  // The on-disk text is exactly header + `<payload> d=<chain digest>`.
+  std::string expect = std::string(kLogHeader) + "\n";
+  treu::core::Digest prev = log.genesis();
+  for (std::size_t i = 0; i < 3; ++i) {
+    const treu::core::Digest d =
+        treu::core::chain_next(prev, treu::core::sha256(log_payloads()[i]));
+    EXPECT_EQ(scan.records[i].digest, d);
+    expect += log_payloads()[i] + " d=" + d.hex() + "\n";
+    prev = d;
+  }
+  EXPECT_EQ(text, expect);
+
+  // repair(keep) may keep fewer records than verify; it reports the lines
+  // it cut and moves the head to the last kept record.
+  EXPECT_EQ(log.repair(1), 2u);
+  EXPECT_EQ(log.head(), scan.records[0].digest);
+  EXPECT_EQ(payloads_of(log.scan()),
+            std::vector<std::string>{log_payloads()[0]});
+  expect_repair_then_append_chains(dir + "/log", 1);
+}
+
+TEST(DurableLog, OpeningAMissingLogWritesNothing) {
+  const std::string dir = fresh_dir("log_missing");
+  std::filesystem::create_directories(dir);
+  ckpt::DurableLog log(dir + "/log", kLogHeader);
+  const auto scan = log.scan();
+  EXPECT_TRUE(scan.missing);
+  EXPECT_TRUE(scan.records.empty());
+  EXPECT_EQ(log.repair(5), 0u);
+  EXPECT_EQ(log.head(), log.genesis());
+  // Neither scan nor repair created anything; the file (and its parent
+  // directory fsync) comes with the first append.
+  EXPECT_TRUE(std::filesystem::is_empty(dir));
+  ASSERT_TRUE(log.append("first"));
+  EXPECT_EQ(payloads_of(log.scan()), std::vector<std::string>{"first"});
+}
+
+TEST(DurableLog, TornAppendLeavesOneTornLineAndKeepsTheHead) {
+  const std::string dir = fresh_dir("log_torn_append");
+  const std::string clean = three_record_log(dir);
+  ckpt::DurableLog log(dir + "/log", kLogHeader);
+  (void)log.repair(3);
+  const treu::core::Digest head = log.head();
+  log.append_torn("epsilon torn");
+  EXPECT_EQ(log.head(), head);
+  const auto scan = log.scan();
+  EXPECT_EQ(payloads_of(scan), log_payloads());
+  EXPECT_EQ(scan.torn, 1u);
+  EXPECT_EQ(scan.corrupt + scan.dropped, 0u);
+  EXPECT_EQ(log.repair(3), 1u);
+  EXPECT_EQ(slurp(dir + "/log"), clean);
+}
+
+TEST(DurableLog, MultiLinePayloadIsRefused) {
+  const std::string dir = fresh_dir("log_newline");
+  const std::string clean = three_record_log(dir);
+  ckpt::DurableLog log(dir + "/log", kLogHeader);
+  (void)log.repair(3);
+  std::string error;
+  EXPECT_FALSE(log.append("two\nlines", &error));
+  EXPECT_FALSE(error.empty());
+  EXPECT_EQ(slurp(dir + "/log"), clean);
+}
+
+TEST(DurableLog, EveryCutScansToAVerifiedPrefix) {
+  const std::string dir = fresh_dir("log_cuts");
+  const std::string clean = three_record_log(dir);
+  const std::string path = dir + "/log";
+  for (std::size_t cut = 0; cut <= clean.size(); ++cut) {
+    SCOPED_TRACE("cut at byte " + std::to_string(cut));
+    const std::string kept = clean.substr(0, cut);
+    spit(path, kept);
+    const std::size_t complete = static_cast<std::size_t>(
+        std::count(kept.begin(), kept.end(), '\n'));
+    const bool mid_line = cut > 0 && kept.back() != '\n';
+
+    const auto scan = ckpt::DurableLog(path, kLogHeader).scan();
+    EXPECT_TRUE(is_prefix_of_payloads(scan));
+    EXPECT_EQ(scan.records.size(), complete == 0 ? 0 : complete - 1);
+    EXPECT_EQ(scan.torn, mid_line ? 1u : 0u);
+    EXPECT_EQ(scan.corrupt + scan.dropped, 0u);
+
+    ckpt::DurableLog log(path, kLogHeader);
+    EXPECT_EQ(log.repair(scan.records.size()), mid_line ? 1u : 0u);
+    if (complete > 0) {
+      // Cut back to the last complete line; nothing verified is lost.
+      EXPECT_EQ(slurp(path), clean.substr(0, kept.rfind('\n') + 1));
+    }
+    expect_repair_then_append_chains(path, scan.records.size());
+  }
+}
+
+TEST(DurableLog, EveryBitFlipIsCaughtAndClassified) {
+  const std::string dir = fresh_dir("log_flips");
+  const std::string clean = three_record_log(dir);
+  const std::string path = dir + "/log";
+  // Byte ranges of the header and each record line (newline included).
+  std::vector<std::size_t> line_end;
+  for (std::size_t i = 0; i < clean.size(); ++i) {
+    if (clean[i] == '\n') line_end.push_back(i + 1);
+  }
+  ASSERT_EQ(line_end.size(), 4u);
+  const std::size_t header_end = line_end[0];
+
+  for (std::size_t byte = 0; byte < clean.size(); ++byte) {
+    for (unsigned bit = 0; bit < 8; ++bit) {
+      SCOPED_TRACE("byte " + std::to_string(byte) + " bit " +
+                   std::to_string(bit));
+      std::string bad = clean;
+      bad[byte] = static_cast<char>(bad[byte] ^ (1u << bit));
+      spit(path, bad);
+      const auto scan = ckpt::DurableLog(path, kLogHeader).scan();
+      EXPECT_TRUE(is_prefix_of_payloads(scan));
+      if (byte < header_end) {
+        // A damaged header orphans every line.
+        EXPECT_TRUE(scan.records.empty());
+        EXPECT_GE(scan.torn, 1u);
+        continue;
+      }
+      const auto rec = static_cast<std::size_t>(
+          std::upper_bound(line_end.begin(), line_end.end(), byte) -
+          line_end.begin() - 1);  // 0-based record index
+      const std::size_t line_start = line_end[rec];
+      const std::size_t newline = line_end[rec + 1] - 1;
+      const std::size_t sep = newline - 67;  // " d=" starts here
+      ASSERT_EQ(clean.substr(sep, 3), " d=");
+      EXPECT_EQ(scan.records.size(), rec);
+      EXPECT_EQ(scan.torn + scan.corrupt, 1u);
+      const bool in_payload = byte >= line_start && byte < sep;
+      const bool in_digest = byte >= sep + 3 && byte < newline;
+      if (in_payload || in_digest) {
+        EXPECT_EQ(scan.corrupt, 1u);  // a committed record that fails
+        EXPECT_EQ(scan.dropped, 2 - rec);
+      }
+      if (bit == byte % 8) {
+        expect_repair_then_append_chains(path, scan.records.size());
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

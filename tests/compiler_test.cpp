@@ -87,9 +87,10 @@ tt::Matrix rand_matrix(treu::core::Rng &rng, std::size_t rows,
   return ::testing::AssertionFailure() << "logit bits differ";
 }
 
-/// ULP-scale closeness, for compiled-vs-hand-written parity of layers whose
-/// hand-written code runs on the dot-style kernels (conv's matvec,
-/// attention's matmul_transposed).
+/// ULP-scale closeness, for compiled-vs-hand-written parity of whole
+/// stacks. conv (Im2Row + matmul) and attention (matmul_transposed) run on
+/// bitwise-invariant kernels, and those layers alone match the oracle bit
+/// for bit (the Capture.*BitwiseIdentical* tests); this check predates them.
 void expect_close(const tt::Matrix &a, const tt::Matrix &b,
                   const char *what) {
   ASSERT_EQ(a.rows(), b.rows()) << what;
@@ -599,8 +600,9 @@ TEST(Capture, ConvStackMatchesOracleBitwiseAndHandWrittenToUlp) {
     const tt::Matrix x = rand_matrix(rng, seq, 4);
     // The graph's own semantics are bitwise stable...
     EXPECT_TRUE(bitwise_equal(interp.run(x), plan.run(x))) << "seq " << seq;
-    // ...and ULP-close to the hand-written layer, whose conv runs on the
-    // dot-style matvec kernel.
+    // ...and ULP-close to the hand-written stack. Its conv runs on the
+    // same Im2Row + matmul and alone is bitwise equal to the oracle (see
+    // Conv1dSeqForwardIsBitwiseIdenticalToOracleAndFusedPlan).
     expect_close(net.forward(x), plan.run(x), "conv stack");
   }
 }

@@ -431,8 +431,9 @@ TEST(KernelDispatch, ConvParityAcrossIsaAndOddShapes) {
 TEST(KernelDispatch, ScalarAndAvx2BitwiseAgreeOnFmaKernels) {
   // matmul/conv1d/conv2d accumulate per-element in ascending k with fma in
   // both microkernel instantiations, so the backends must agree *bitwise*.
-  // (Dot-style kernels — matvec, matmul_t — use lane-split reductions and
-  // are only ULP-bounded, covered above.)
+  // (matmul_t packs B^T onto the same matmul body and is bitwise too, see
+  // MatmulTransposedIsBitwiseInvariantAcrossIsaRtileAndPartition; matvec,
+  // the one dot-style kernel left, is ULP-bounded and covered above.)
   if (!tt::Kernel::available(tt::Isa::Avx2)) GTEST_SKIP() << "no AVX2 here";
   treu::core::Rng rng(53);
   const tt::Matrix a = tt::Matrix::random_uniform(22, 18, rng, -1.0, 1.0);

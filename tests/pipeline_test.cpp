@@ -460,6 +460,19 @@ TEST(PipelineRegistry, TornLogAppendRecoversLikeACrash) {
   EXPECT_EQ(scan.torn + scan.corrupt, 0u);
 }
 
+TEST(PipelineRegistry, OpeningAnEmptyDirectoryWritesNoLog) {
+  const std::string dir = fresh_dir("emptyopen");
+  pipeline::ModelRegistry reg(dir);
+  // Construction scans and repairs, but a missing log stays missing: no
+  // file, no header write, nothing to fsync until the first publish.
+  EXPECT_TRUE(std::filesystem::is_empty(dir));
+  EXPECT_TRUE(reg.scan().log_missing);
+  EXPECT_EQ(reg.head_version(), 0u);
+  EXPECT_EQ(reg.head_digest(), pipeline::ModelRegistry::genesis_digest());
+  ASSERT_TRUE(reg.publish(toy_ckpt(10)).logged);
+  EXPECT_TRUE(std::filesystem::exists(reg.log_path()));
+}
+
 // ---------------------------------------------------------------------------
 // RolloutController: happy path, regression rollback
 
@@ -640,6 +653,115 @@ TEST(PipelineRollout, ResumeWithoutPendingCycleIsANoOp) {
   const auto resume = ctl.resume();
   EXPECT_FALSE(resume.resumed);
   EXPECT_EQ(ctl.journal_string(), before);  // not a byte written
+}
+
+TEST(PipelineRollout, EditedFailVerdictIsCutByTheChainAndRolledBack) {
+  const std::string root = fresh_dir("tamperverdict");
+  const std::string journal = root + "/rollout.journal";
+  Deployment dep;
+  dep.init(23);
+  pipeline::ModelRegistry reg(root + "/registry");
+  dep.registry = &reg;
+  pipeline::RolloutConfig cfg;
+  cfg.max_score_regression = 0.05;
+  {
+    pipeline::RolloutController boot(reg, dep.hooks(), cfg, journal);
+    baseline_promote(boot, dep);
+  }
+  const std::string incumbent = dep.incumbent_hash;
+
+  // A regressed candidate fails its canary; the kill lands right after the
+  // durable `verdict 2 ... fail` line.
+  const auto candidate = dep.regressed_candidate(100, 23);
+  const std::string regressed = candidate.weight_digest().hex();
+  {
+    pipeline::RolloutConfig crash_cfg = cfg;
+    crash_cfg.crash_point = pipeline::CrashPoint::AfterVerdict;
+    pipeline::RolloutController ctl(reg, dep.hooks(), crash_cfg, journal);
+    const auto report = ctl.run_cycle(candidate);
+    ASSERT_TRUE(report.crashed);
+    ASSERT_FALSE(report.pass);
+  }
+
+  // Rewrite the decision on disk: `fail` -> `pass`, the line stays
+  // well-formed. Only the chain digest can tell.
+  const auto raw = ckpt::read_file(journal);
+  ASSERT_TRUE(raw.has_value());
+  std::string text(raw->begin(), raw->end());
+  const std::size_t verdict = text.find("verdict 2 ");
+  ASSERT_NE(verdict, std::string::npos);
+  const std::size_t fail = text.find(" fail", verdict);
+  ASSERT_NE(fail, std::string::npos);
+  text.replace(fail, 5, " pass");
+  {
+    std::ofstream out(journal, std::ios::binary | std::ios::trunc);
+    out << text;
+  }
+
+  // The restarted controller cuts the forged line, so the tail it acts on
+  // is `state 2 canary`: roll back, never promote.
+  pipeline::RolloutController revived(reg, dep.hooks(), cfg, journal);
+  ASSERT_TRUE(revived.pending_resume());
+  const auto resume = revived.resume();
+  EXPECT_TRUE(resume.resumed);
+  EXPECT_EQ(resume.from, pipeline::RolloutState::Canary);
+  EXPECT_EQ(resume.state, pipeline::RolloutState::RolledBack);
+  EXPECT_EQ(resume.torn_journal_lines, 1u);
+  EXPECT_EQ(revived.incumbent_version(), 1u);
+  EXPECT_EQ(dep.incumbent_hash, incumbent);
+  EXPECT_EQ(revived.journal_string().find("verdict 2"), std::string::npos);
+
+  const std::size_t mark_primary = dep.primary_served.size();
+  const std::size_t mark_canary = dep.canary_served.size();
+  dep.drive_traffic(40000, 64);
+  for (std::size_t i = mark_primary; i < dep.primary_served.size(); ++i) {
+    EXPECT_EQ(dep.primary_served[i], incumbent);
+  }
+  for (std::size_t i = mark_canary; i < dep.canary_served.size(); ++i) {
+    EXPECT_EQ(dep.canary_served[i], incumbent);
+  }
+  for (const auto &hash : dep.primary_served) EXPECT_NE(hash, regressed);
+}
+
+TEST(PipelineRollout, TornJournalTailIsCountedCutAndChainedPast) {
+  const std::string root = fresh_dir("tornjournal");
+  const std::string journal = root + "/rollout.journal";
+  Deployment dep;
+  dep.init(29);
+  pipeline::ModelRegistry reg(root + "/registry");
+  dep.registry = &reg;
+  pipeline::RolloutConfig cfg;
+  cfg.max_score_regression = 0.05;
+  std::string clean;
+  {
+    pipeline::RolloutController ctl(reg, dep.hooks(), cfg, journal);
+    baseline_promote(ctl, dep);
+    clean = ctl.journal_string();
+  }
+  {
+    // A crash mid-append after a completed cycle: a dangling fragment.
+    std::ofstream out(journal, std::ios::binary | std::ios::app);
+    out << "state 2 prom";
+  }
+
+  pipeline::RolloutController ctl(reg, dep.hooks(), cfg, journal);
+  EXPECT_FALSE(ctl.pending_resume());
+  const auto resume = ctl.resume();
+  EXPECT_FALSE(resume.resumed);
+  EXPECT_EQ(resume.torn_journal_lines, 1u);
+  EXPECT_EQ(ctl.journal_string(), clean);  // cut to the verified prefix
+
+  // The next cycle appends onto the surviving head: a fresh controller
+  // replays every line and cuts nothing.
+  const auto report = ctl.run_cycle(dep.good_candidate(100, 29));
+  EXPECT_EQ(report.state, pipeline::RolloutState::Promoted);
+  const std::string after = ctl.journal_string();
+  EXPECT_EQ(after.compare(0, clean.size(), clean), 0);
+  pipeline::RolloutController again(reg, dep.hooks(), cfg, journal);
+  EXPECT_FALSE(again.pending_resume());
+  EXPECT_EQ(again.resume().torn_journal_lines, 0u);
+  EXPECT_EQ(again.incumbent_version(), 2u);
+  EXPECT_EQ(again.journal_string(), after);
 }
 
 // ---------------------------------------------------------------------------
