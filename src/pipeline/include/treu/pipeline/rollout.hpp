@@ -153,11 +153,14 @@ class RolloutController {
   /// Complete any interrupted cycle per the table above. Safe to call when
   /// nothing is pending (reports resumed=false). Never throws on damaged
   /// journals: damaged lines were cut at construction (torn_journal_lines).
+  /// Throws std::runtime_error, halted, when a journal append fails.
   ResumeReport resume();
 
   /// Drive one full publish→canary→promote/rollback cycle. Throws
   /// std::logic_error if an interrupted cycle is pending or the controller
   /// has halted (simulated crash) — construct a fresh controller instead.
+  /// A failed journal append halts the cycle before any later hook runs,
+  /// with the log's error in CycleReport::error.
   CycleReport run_cycle(const ckpt::TrainingCheckpoint &candidate);
 
   [[nodiscard]] RolloutState state() const noexcept { return state_; }
@@ -180,7 +183,9 @@ class RolloutController {
  private:
   struct JournalTail;  // defined in rollout.cpp
 
-  void journal_state(std::uint64_t cycle, RolloutState s);
+  [[nodiscard]] bool journal(const std::string &line, CycleReport *report);
+  [[nodiscard]] bool journal_state(std::uint64_t cycle, RolloutState s,
+                                   CycleReport *report);
   [[nodiscard]] bool crash_here(CrashPoint point);
   void do_promote(std::uint64_t cycle, const RegistryEntry &entry,
                   CycleReport *report);

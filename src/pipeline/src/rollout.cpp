@@ -144,9 +144,25 @@ std::string RolloutController::journal_string() const {
   return std::string(raw->begin(), raw->end());
 }
 
-void RolloutController::journal_state(std::uint64_t cycle, RolloutState s) {
-  (void)journal_.append("state " + std::to_string(cycle) + " " +
-                        to_string(s));
+// Every journal line is an intent that must be durable before the action it
+// names runs. A failed append halts the controller as at a crash point: no
+// hook runs after it, and a fresh controller converges from the durable
+// prefix. run_cycle reports the log's error; resume(), which has no error
+// field, throws it.
+bool RolloutController::journal(const std::string &line, CycleReport *report) {
+  std::string error;
+  if (journal_.append(line, &error)) return true;
+  halted_ = true;
+  if (report == nullptr) throw std::runtime_error(error);
+  report->error = error;
+  report->state = state_;
+  return false;
+}
+
+bool RolloutController::journal_state(std::uint64_t cycle, RolloutState s,
+                                      CycleReport *report) {
+  return journal("state " + std::to_string(cycle) + " " + to_string(s),
+                 report);
 }
 
 bool RolloutController::crash_here(CrashPoint point) {
@@ -172,7 +188,7 @@ void RolloutController::do_promote(std::uint64_t cycle,
     do_rollback(cycle, /*rolling_back_journaled=*/false, report);
     return;
   }
-  journal_state(cycle, RolloutState::Promoted);
+  if (!journal_state(cycle, RolloutState::Promoted, report)) return;
   state_ = RolloutState::Promoted;
   incumbent_version_ = entry.version;
   TREU_OBS_COUNTER_ADD("pipeline.promotions_total", 1);
@@ -184,8 +200,9 @@ void RolloutController::do_rollback(std::uint64_t cycle,
                                     bool rolling_back_journaled,
                                     CycleReport *report) {
   state_ = RolloutState::RollingBack;
-  if (!rolling_back_journaled) {
-    journal_state(cycle, RolloutState::RollingBack);
+  if (!rolling_back_journaled &&
+      !journal_state(cycle, RolloutState::RollingBack, report)) {
+    return;
   }
   if (crash_here(CrashPoint::AfterRollingBackEnter)) {
     if (report != nullptr) {
@@ -204,7 +221,7 @@ void RolloutController::do_rollback(std::uint64_t cycle,
     }
     return;
   }
-  journal_state(cycle, RolloutState::RolledBack);
+  if (!journal_state(cycle, RolloutState::RolledBack, report)) return;
   state_ = RolloutState::RolledBack;
   TREU_OBS_COUNTER_ADD("pipeline.rollbacks_total", 1);
   TREU_OBS_FR_EVENT(PipelineRollback, 0, incumbent_version_, cycle);
@@ -252,9 +269,9 @@ ResumeReport RolloutController::resume() {
     }
   }
 
-  (void)journal_.append("resume " + std::to_string(n) + " from=" + from_tag +
-                        " action=" +
-                        (promote_action ? "promote" : "rollback"));
+  (void)journal("resume " + std::to_string(n) + " from=" + from_tag +
+                    " action=" + (promote_action ? "promote" : "rollback"),
+                nullptr);
   TREU_OBS_COUNTER_ADD("pipeline.resumes_total", 1);
   TREU_OBS_FR_EVENT(PipelineResume, 0, n,
                     static_cast<std::uint64_t>(pending_from_));
@@ -263,7 +280,7 @@ ResumeReport RolloutController::resume() {
   if (promote_action) {
     if (pending_from_ != RolloutState::Promoting) {
       state_ = RolloutState::Promoting;
-      journal_state(n, RolloutState::Promoting);
+      (void)journal_state(n, RolloutState::Promoting, nullptr);
     }
     do_promote(n, *entry, nullptr);
   } else {
@@ -314,11 +331,12 @@ CycleReport RolloutController::run_cycle(
     return report;
   }
   if (!pub.logged) {
-    (void)journal_.append("rejected " + std::to_string(n) +
-                          " version=0 reason=publish-failed");
     state_ = RolloutState::Idle;
     report.state = state_;
     report.error = pub.error;
+    (void)journal("rejected " + std::to_string(n) +
+                      " version=0 reason=publish-failed",
+                  &report);
     return report;
   }
   report.published = true;
@@ -327,19 +345,22 @@ CycleReport RolloutController::run_cycle(
   if (!pub.vetted) {
     // Chain record is durable but the container failed read-back
     // verification (e.g. PublishCorrupt): never let it near traffic.
-    (void)journal_.append("rejected " + std::to_string(n) +
-                          " version=" + std::to_string(pub.entry.version) +
-                          " reason=unvetted");
     state_ = RolloutState::Idle;
     report.state = state_;
+    (void)journal("rejected " + std::to_string(n) +
+                      " version=" + std::to_string(pub.entry.version) +
+                      " reason=unvetted",
+                  &report);
     return report;
   }
 
-  (void)journal_.append(
-      "cycle " + std::to_string(n) +
-      " version=" + std::to_string(pub.entry.version) +
-      " step=" + std::to_string(pub.entry.step) +
-      " weights=" + pub.entry.weight_digest);
+  if (!journal("cycle " + std::to_string(n) +
+                   " version=" + std::to_string(pub.entry.version) +
+                   " step=" + std::to_string(pub.entry.step) +
+                   " weights=" + pub.entry.weight_digest,
+               &report)) {
+    return report;
+  }
   if (crash_here(CrashPoint::AfterPublish)) {
     report.crashed = true;
     report.state = state_;
@@ -347,7 +368,7 @@ CycleReport RolloutController::run_cycle(
   }
 
   state_ = RolloutState::Canary;
-  journal_state(n, RolloutState::Canary);
+  if (!journal_state(n, RolloutState::Canary, &report)) return report;
   TREU_OBS_FR_EVENT(PipelineCanaryStart, 0, pub.entry.version, n);
   if (crash_here(CrashPoint::AfterCanaryEnter)) {
     report.crashed = true;
@@ -382,13 +403,15 @@ CycleReport RolloutController::run_cycle(
       report.verdict.candidate_score + config_.max_score_regression >=
           report.verdict.incumbent_score &&
       report.verdict.canary_goodput >= config_.min_canary_goodput;
-  (void)journal_.append(
-      "verdict " + std::to_string(n) +
-      " cand=" + fixed6(report.verdict.candidate_score) +
-      " inc=" + fixed6(report.verdict.incumbent_score) +
-      " goodput=" + fixed6(report.verdict.canary_goodput) +
-      " errors=" + std::to_string(report.verdict.canary_errors) +
-      (report.pass ? " pass" : " fail"));
+  if (!journal("verdict " + std::to_string(n) +
+                   " cand=" + fixed6(report.verdict.candidate_score) +
+                   " inc=" + fixed6(report.verdict.incumbent_score) +
+                   " goodput=" + fixed6(report.verdict.canary_goodput) +
+                   " errors=" + std::to_string(report.verdict.canary_errors) +
+                   (report.pass ? " pass" : " fail"),
+               &report)) {
+    return report;
+  }
   TREU_OBS_FR_EVENT(PipelineVerdict, 0, pub.entry.version,
                     report.pass ? 1 : 0);
   if (crash_here(CrashPoint::AfterVerdict)) {
@@ -403,7 +426,7 @@ CycleReport RolloutController::run_cycle(
   }
 
   state_ = RolloutState::Promoting;
-  journal_state(n, RolloutState::Promoting);
+  if (!journal_state(n, RolloutState::Promoting, &report)) return report;
   if (crash_here(CrashPoint::AfterPromotingEnter)) {
     report.crashed = true;
     report.state = state_;

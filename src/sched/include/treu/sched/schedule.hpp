@@ -7,7 +7,7 @@
 // model the same idea: `Schedule` carries the transformation knobs (loop
 // order, tiling, unrolling, parallelization, vector ISA, register-tile
 // shape), `validate` is the legality check, and applying a schedule means
-// one `tensor::Kernel::run` dispatch with those knobs. The semantic
+// one typed `tensor::Kernel::` dispatch with those knobs. The semantic
 // contract — any valid schedule computes the same function as the naive
 // kernel — is enforced by property tests across the whole space.
 //

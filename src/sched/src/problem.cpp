@@ -73,56 +73,31 @@ std::vector<double> Problem::execute(const Schedule &schedule,
   if (schedule.kernel != kind_) {
     throw std::invalid_argument("Problem::execute: schedule kernel mismatch");
   }
-  // One dispatch for every kernel and every backend; Kernel::run preserves
-  // the old routing (pure interchange schedules still run matmul_ordered so
-  // `order` differences stay observable, tiled scalar schedules run the
-  // legacy nest bit-for-bit, isa/rtile schedules run the microkernels).
-  tensor::KernelArgs args;
+  // The schedule's knobs pick the route inside each Kernel entry point: pure
+  // interchange schedules run the naive nest in `order` so loop-order
+  // differences stay observable, tiled scalar schedules run the legacy nest
+  // bit-for-bit, isa/rtile schedules run the microkernels.
+  using tensor::Kernel;
+  const tensor::KernelParams &p = schedule.params;
+  tensor::Matrix out;
   switch (kind_) {
-    case KernelKind::MatVec:
-      args.a = &a_;
-      args.x = x_;
-      break;
-    case KernelKind::Conv1D:
-      args.x = x_;
-      args.w = w_;
-      break;
-    case KernelKind::Conv2D:
-    case KernelKind::MatMul:
+    case KernelKind::MatVec: return Kernel::matvec(a_, x_, p, pool);
+    case KernelKind::Conv1D: return Kernel::conv1d(x_, w_, p, pool);
+    case KernelKind::Conv2D: out = Kernel::conv2d(a_, b_, p, pool); break;
+    case KernelKind::MatMul: out = Kernel::matmul(a_, b_, p, pool); break;
     case KernelKind::MatMulTransposed:
-      args.a = &a_;
-      args.b = &b_;
+      out = Kernel::matmul_transposed(a_, b_, p, pool);
       break;
   }
-  tensor::KernelResult out =
-      tensor::Kernel::run(kind_, args, schedule.params, pool);
-  if (kind_ == KernelKind::MatVec || kind_ == KernelKind::Conv1D) {
-    return std::move(out.vec);
-  }
-  return {out.matrix.flat().begin(), out.matrix.flat().end()};
+  return {out.flat().begin(), out.flat().end()};
 }
 
 const std::vector<double> &Problem::reference() const {
   if (!reference_ready_) {
-    switch (kind_) {
-      case KernelKind::MatVec: reference_ = tensor::matvec(a_, x_); break;
-      case KernelKind::Conv1D: reference_ = tensor::conv1d(x_, w_); break;
-      case KernelKind::Conv2D: {
-        tensor::Matrix out = tensor::conv2d(a_, b_);
-        reference_.assign(out.flat().begin(), out.flat().end());
-        break;
-      }
-      case KernelKind::MatMul: {
-        tensor::Matrix out = tensor::matmul(a_, b_);
-        reference_.assign(out.flat().begin(), out.flat().end());
-        break;
-      }
-      case KernelKind::MatMulTransposed: {
-        tensor::Matrix out = tensor::matmul_transposed(a_, b_);
-        reference_.assign(out.flat().begin(), out.flat().end());
-        break;
-      }
-    }
+    // The baseline schedule (IJK, no knobs, Scalar) is the naive nest of
+    // each kernel; only matmul reads `order`.
+    reference_ =
+        execute(ScheduleSpace::baseline(kind_), tensor::Kernel::default_pool());
     reference_ready_ = true;
   }
   return reference_;

@@ -38,16 +38,22 @@ std::array<double, 9> kabsch(const std::vector<Vec3> &from,
     }
   }
   const tensor::SvdResult s = tensor::svd(h);
-  // R = V diag(1,1,d) U^T with d = sign(det(V U^T)).
-  tensor::Matrix vut = tensor::matmul_transposed(s.v, s.u);
+  // R = V diag(1,1,d) U^T with d = sign(det(V U^T)), on the naive scalar
+  // nests (IJK for the plain matmuls).
+  using tensor::Kernel;
+  parallel::ThreadPool &pool = Kernel::default_pool();
+  tensor::KernelParams ijk;
+  ijk.order = tensor::LoopOrder::IJK;
+  tensor::Matrix vut =
+      Kernel::matmul_transposed(s.v, s.u, tensor::KernelParams{}, pool);
   const double det =
       vut(0, 0) * (vut(1, 1) * vut(2, 2) - vut(1, 2) * vut(2, 1)) -
       vut(0, 1) * (vut(1, 0) * vut(2, 2) - vut(1, 2) * vut(2, 0)) +
       vut(0, 2) * (vut(1, 0) * vut(2, 1) - vut(1, 1) * vut(2, 0));
   tensor::Matrix d3 = tensor::Matrix::identity(3);
   if (det < 0.0) d3(2, 2) = -1.0;
-  const tensor::Matrix r =
-      tensor::matmul(tensor::matmul(s.v, d3), s.u.transposed());
+  const tensor::Matrix r = Kernel::matmul(Kernel::matmul(s.v, d3, ijk, pool),
+                                          s.u.transposed(), ijk, pool);
   return {r(0, 0), r(0, 1), r(0, 2), r(1, 0), r(1, 1),
           r(1, 2), r(2, 0), r(2, 1), r(2, 2)};
 }

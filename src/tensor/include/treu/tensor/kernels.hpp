@@ -4,7 +4,7 @@
 // vector multiply, 1D convolution, 2D convolution, matrix-matrix multiply,
 // and transposed matrix-matrix multiply — behind one dispatch surface.
 //
-// `Kernel::run(op, args, params, pool)` is the single entry point: it
+// The five typed `Kernel::` entry points are the only way in: each
 // resolves the requested instruction set (`KernelParams::isa`) against what
 // the host CPU, the build, and the TREU_FORCE_ISA pin allow, then executes
 // either the legacy scalar loop nests (whose knobs — loop order, tile
@@ -24,10 +24,6 @@
 // unavailable, dispatch falls back to Scalar and records it (the
 // `sched.isa_fallback` metric and Kernel::isa_fallbacks()) instead of
 // throwing — a schedule tuned on another host must still run here.
-//
-// The historical free functions (`matvec`/`matvec_opt`,
-// `matmul`/`matmul_ordered`/`matmul_opt`, ...) survive as thin deprecated
-// shims over Kernel::run; new code should call the Kernel entry points.
 
 #include <cstddef>
 #include <cstdint>
@@ -75,38 +71,18 @@ struct KernelParams {
   friend bool operator==(const KernelParams &, const KernelParams &) = default;
 };
 
-/// Operand bundle for Kernel::run. Which fields matter depends on the op:
-///   MatVec            a (m x n), x (n)
-///   MatMul            a (m x k), b (k x n)
-///   MatMulTransposed  a (m x k), b (n x k)
-///   Conv1D            x (signal), w (taps)
-///   Conv2D            a (image), b (kernel)
-struct KernelArgs {
-  const Matrix *a = nullptr;
-  const Matrix *b = nullptr;
-  std::span<const double> x;
-  std::span<const double> w;
-};
-
-/// Result of one dispatch: matrix-valued ops fill `matrix`, vector-valued
-/// ops (MatVec, Conv1D) fill `vec`.
-struct KernelResult {
-  Matrix matrix;
-  std::vector<double> vec;
-};
-
 /// The one dispatch surface over the kernel zoo.
 class Kernel {
  public:
-  /// Execute `op` on `args` with `params`, dispatching to the backend
-  /// selected by params.isa (clamped to availability, see effective()).
-  /// Shape errors throw std::invalid_argument, exactly like the historical
-  /// free functions.
-  [[nodiscard]] static KernelResult run(KernelOp op, const KernelArgs &args,
-                                        const KernelParams &params,
-                                        parallel::ThreadPool &pool);
-
-  // Typed conveniences — same dispatch path as run().
+  // The five entry points route alike on params.isa (clamped to
+  // availability, see effective()):
+  //   vector ISA or register tile set      -> microkernel backend
+  //   else no tile, unroll or parallel     -> naive legacy nest (matmul
+  //                                           honors `order`; the others
+  //                                           have one loop order)
+  //   else                                 -> tiled legacy nest
+  // Shape errors throw std::invalid_argument; conv1d/conv2d return an
+  // empty result when the kernel is empty or larger than the input.
   [[nodiscard]] static std::vector<double> matvec(const Matrix &a,
                                                   std::span<const double> x,
                                                   const KernelParams &params,
@@ -143,61 +119,15 @@ class Kernel {
   /// trained and served model rides the fastest compiled backend for free.
   [[nodiscard]] static KernelParams fast_params();
 
-  /// Lazily-constructed serial pool for callers without one (the deprecated
-  /// shims). Never spun up unless a parallel schedule actually needs it.
+  /// Lazily-constructed serial pool for callers without one of their own
+  /// (nn, graph, sched, pca and the shape atlas). Never spun up unless a
+  /// parallel schedule actually needs it.
   [[nodiscard]] static parallel::ThreadPool &default_pool();
 
   /// Process-wide count of dispatches whose requested ISA was unavailable
   /// (mirrors the sched.isa_fallback metric for obs-off builds).
   [[nodiscard]] static std::uint64_t isa_fallbacks() noexcept;
 };
-
-// --- Deprecated shims over Kernel::run --------------------------------------
-//
-// Kept so existing call sites and published schedules keep compiling; each
-// is a thin delegation and bitwise-identical to direct dispatch (asserted
-// in kernels_test). Prefer Kernel::*.
-
-[[nodiscard]] std::vector<double> matvec(const Matrix &a,
-                                         std::span<const double> x);
-
-[[nodiscard]] std::vector<double> matvec_opt(const Matrix &a,
-                                             std::span<const double> x,
-                                             const KernelParams &params,
-                                             parallel::ThreadPool &pool);
-
-[[nodiscard]] Matrix matmul(const Matrix &a, const Matrix &b);
-
-/// Triple loop in an arbitrary order, untiled: exposes the effect of loop
-/// interchange alone.
-[[nodiscard]] Matrix matmul_ordered(const Matrix &a, const Matrix &b,
-                                    LoopOrder order);
-
-/// Fully parameterized: interchange + tiling + unroll + parallel outer loop
-/// + ISA/register-tile dispatch.
-[[nodiscard]] Matrix matmul_opt(const Matrix &a, const Matrix &b,
-                                const KernelParams &params,
-                                parallel::ThreadPool &pool);
-
-[[nodiscard]] Matrix matmul_transposed(const Matrix &a, const Matrix &b);
-
-[[nodiscard]] Matrix matmul_transposed_opt(const Matrix &a, const Matrix &b,
-                                           const KernelParams &params,
-                                           parallel::ThreadPool &pool);
-
-[[nodiscard]] std::vector<double> conv1d(std::span<const double> input,
-                                         std::span<const double> weights);
-
-[[nodiscard]] std::vector<double> conv1d_opt(std::span<const double> input,
-                                             std::span<const double> weights,
-                                             const KernelParams &params,
-                                             parallel::ThreadPool &pool);
-
-[[nodiscard]] Matrix conv2d(const Matrix &input, const Matrix &kernel);
-
-[[nodiscard]] Matrix conv2d_opt(const Matrix &input, const Matrix &kernel,
-                                const KernelParams &params,
-                                parallel::ThreadPool &pool);
 
 /// Flatten the width-row windows of a row-major (seq x d) matrix:
 /// row t of the result is rows [first+t, first+t+width) of `x` laid end to

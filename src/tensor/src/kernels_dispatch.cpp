@@ -1,5 +1,5 @@
-// The Kernel dispatch surface: ISA resolution, backend selection, the typed
-// convenience entry points, and the deprecated free-function shims.
+// The Kernel dispatch surface: ISA resolution, backend selection and the
+// five typed entry points.
 //
 // Routing invariant: a Scalar-ISA request with no register tile runs the
 // legacy loop nests (kernels.cpp) and is bitwise-identical to the pre-SIMD
@@ -10,7 +10,6 @@
 
 #include <atomic>
 #include <stdexcept>
-#include <string>
 
 #include "kernels_legacy.hpp"
 #include "kernels_micro.hpp"
@@ -22,8 +21,8 @@ namespace {
 
 std::atomic<std::uint64_t> g_isa_fallbacks{0};
 
-/// No knob set at all: the request is one of the historical naive entry
-/// points, which must keep their exact accumulation pattern.
+/// No tile, unroll or parallel knob: the request runs the naive legacy
+/// nest, which keeps its exact accumulation pattern.
 bool pure_default(const KernelParams &p) noexcept {
   return p.tile_i == 0 && p.tile_j == 0 && p.tile_k == 0 && p.unroll <= 1 &&
          !p.parallel;
@@ -36,18 +35,22 @@ const detail::Backend &backend_for(Isa isa) noexcept {
   return detail::scalar_backend();
 }
 
-const Matrix &require(const Matrix *m, const char *op) {
-  if (m == nullptr) {
-    throw std::invalid_argument(std::string(op) + ": missing matrix operand");
-  }
-  return *m;
-}
-
 void count_fallback(Isa requested, Isa effective) {
   if (requested == Isa::Avx2 && effective == Isa::Scalar) {
     g_isa_fallbacks.fetch_add(1, std::memory_order_relaxed);
     TREU_OBS_COUNTER_ADD("sched.isa_fallback", 1);
   }
+}
+
+/// The microkernel backend `params` routes to, or nullptr when it runs the
+/// legacy nests (Scalar ISA, no register tile). Counts an ISA fallback.
+const detail::Backend *micro_backend(const KernelParams &params) {
+  const Isa isa = Kernel::effective(params.isa);
+  count_fallback(params.isa, isa);
+  if (isa == Isa::Scalar && params.rtile_m == 0 && params.rtile_n == 0) {
+    return nullptr;
+  }
+  return &backend_for(isa);
 }
 
 }  // namespace
@@ -98,195 +101,64 @@ std::uint64_t Kernel::isa_fallbacks() noexcept {
   return g_isa_fallbacks.load(std::memory_order_relaxed);
 }
 
-KernelResult Kernel::run(KernelOp op, const KernelArgs &args,
-                         const KernelParams &params,
-                         parallel::ThreadPool &pool) {
-  const Isa isa = effective(params.isa);
-  count_fallback(params.isa, isa);
-  const bool micro_path =
-      isa != Isa::Scalar || params.rtile_m != 0 || params.rtile_n != 0;
-  KernelResult out;
-  switch (op) {
-    case KernelOp::MatVec: {
-      const Matrix &a = require(args.a, "matvec");
-      if (a.cols() != args.x.size()) {
-        throw std::invalid_argument("matvec: dimension mismatch");
-      }
-      if (micro_path) {
-        out.vec = backend_for(isa).matvec(a, args.x, params, pool);
-      } else if (pure_default(params)) {
-        out.vec = detail::legacy_matvec(a, args.x);
-      } else {
-        out.vec = detail::legacy_matvec_opt(a, args.x, params, pool);
-      }
-      break;
-    }
-    case KernelOp::MatMul: {
-      const Matrix &a = require(args.a, "matmul");
-      const Matrix &b = require(args.b, "matmul");
-      if (a.cols() != b.rows()) {
-        throw std::invalid_argument("matmul: inner dimensions differ");
-      }
-      if (micro_path) {
-        out.matrix = backend_for(isa).matmul(a, b, params, pool);
-      } else if (pure_default(params)) {
-        out.matrix = detail::legacy_matmul_ordered(a, b, params.order);
-      } else {
-        out.matrix = detail::legacy_matmul_opt(a, b, params, pool);
-      }
-      break;
-    }
-    case KernelOp::MatMulTransposed: {
-      const Matrix &a = require(args.a, "matmul_transposed");
-      const Matrix &b = require(args.b, "matmul_transposed");
-      if (a.cols() != b.cols()) {
-        throw std::invalid_argument(
-            "matmul_transposed: inner dimensions differ");
-      }
-      if (micro_path) {
-        out.matrix = backend_for(isa).matmul_transposed(a, b, params, pool);
-      } else if (pure_default(params)) {
-        out.matrix = detail::legacy_matmul_transposed(a, b);
-      } else {
-        out.matrix = detail::legacy_matmul_transposed_opt(a, b, params, pool);
-      }
-      break;
-    }
-    case KernelOp::Conv1D: {
-      if (args.w.empty() || args.x.size() < args.w.size()) break;
-      if (micro_path) {
-        out.vec = backend_for(isa).conv1d(args.x, args.w, params, pool);
-      } else if (pure_default(params)) {
-        out.vec = detail::legacy_conv1d(args.x, args.w);
-      } else {
-        out.vec = detail::legacy_conv1d_opt(args.x, args.w, params, pool);
-      }
-      break;
-    }
-    case KernelOp::Conv2D: {
-      const Matrix &input = require(args.a, "conv2d");
-      const Matrix &kernel = require(args.b, "conv2d");
-      if (kernel.rows() == 0 || kernel.cols() == 0 ||
-          input.rows() < kernel.rows() || input.cols() < kernel.cols()) {
-        break;
-      }
-      if (micro_path) {
-        out.matrix = backend_for(isa).conv2d(input, kernel, params, pool);
-      } else if (pure_default(params)) {
-        out.matrix = detail::legacy_conv2d(input, kernel);
-      } else {
-        out.matrix = detail::legacy_conv2d_opt(input, kernel, params, pool);
-      }
-      break;
-    }
-  }
-  return out;
-}
-
 std::vector<double> Kernel::matvec(const Matrix &a, std::span<const double> x,
                                    const KernelParams &params,
                                    parallel::ThreadPool &pool) {
-  KernelArgs args;
-  args.a = &a;
-  args.x = x;
-  return run(KernelOp::MatVec, args, params, pool).vec;
+  const detail::Backend *micro = micro_backend(params);
+  if (a.cols() != x.size()) {
+    throw std::invalid_argument("matvec: dimension mismatch");
+  }
+  if (micro != nullptr) return micro->matvec(a, x, params, pool);
+  if (pure_default(params)) return detail::legacy_matvec(a, x);
+  return detail::legacy_matvec_opt(a, x, params, pool);
 }
 
 Matrix Kernel::matmul(const Matrix &a, const Matrix &b,
                       const KernelParams &params, parallel::ThreadPool &pool) {
-  KernelArgs args;
-  args.a = &a;
-  args.b = &b;
-  return run(KernelOp::MatMul, args, params, pool).matrix;
+  const detail::Backend *micro = micro_backend(params);
+  if (a.cols() != b.rows()) {
+    throw std::invalid_argument("matmul: inner dimensions differ");
+  }
+  if (micro != nullptr) return micro->matmul(a, b, params, pool);
+  if (pure_default(params)) {
+    return detail::legacy_matmul_ordered(a, b, params.order);
+  }
+  return detail::legacy_matmul_opt(a, b, params, pool);
 }
 
 Matrix Kernel::matmul_transposed(const Matrix &a, const Matrix &b,
                                  const KernelParams &params,
                                  parallel::ThreadPool &pool) {
-  KernelArgs args;
-  args.a = &a;
-  args.b = &b;
-  return run(KernelOp::MatMulTransposed, args, params, pool).matrix;
+  const detail::Backend *micro = micro_backend(params);
+  if (a.cols() != b.cols()) {
+    throw std::invalid_argument("matmul_transposed: inner dimensions differ");
+  }
+  if (micro != nullptr) return micro->matmul_transposed(a, b, params, pool);
+  if (pure_default(params)) return detail::legacy_matmul_transposed(a, b);
+  return detail::legacy_matmul_transposed_opt(a, b, params, pool);
 }
 
 std::vector<double> Kernel::conv1d(std::span<const double> input,
                                    std::span<const double> weights,
                                    const KernelParams &params,
                                    parallel::ThreadPool &pool) {
-  KernelArgs args;
-  args.x = input;
-  args.w = weights;
-  return run(KernelOp::Conv1D, args, params, pool).vec;
+  const detail::Backend *micro = micro_backend(params);
+  if (weights.empty() || input.size() < weights.size()) return {};
+  if (micro != nullptr) return micro->conv1d(input, weights, params, pool);
+  if (pure_default(params)) return detail::legacy_conv1d(input, weights);
+  return detail::legacy_conv1d_opt(input, weights, params, pool);
 }
 
 Matrix Kernel::conv2d(const Matrix &input, const Matrix &kernel,
                       const KernelParams &params, parallel::ThreadPool &pool) {
-  KernelArgs args;
-  args.a = &input;
-  args.b = &kernel;
-  return run(KernelOp::Conv2D, args, params, pool).matrix;
-}
-
-// --- deprecated shims -------------------------------------------------------
-
-std::vector<double> matvec(const Matrix &a, std::span<const double> x) {
-  return Kernel::matvec(a, x, KernelParams{}, Kernel::default_pool());
-}
-
-std::vector<double> matvec_opt(const Matrix &a, std::span<const double> x,
-                               const KernelParams &params,
-                               parallel::ThreadPool &pool) {
-  return Kernel::matvec(a, x, params, pool);
-}
-
-Matrix matmul(const Matrix &a, const Matrix &b) {
-  KernelParams params;
-  params.order = LoopOrder::IJK;
-  return Kernel::matmul(a, b, params, Kernel::default_pool());
-}
-
-Matrix matmul_ordered(const Matrix &a, const Matrix &b, LoopOrder order) {
-  KernelParams params;
-  params.order = order;
-  return Kernel::matmul(a, b, params, Kernel::default_pool());
-}
-
-Matrix matmul_opt(const Matrix &a, const Matrix &b, const KernelParams &params,
-                  parallel::ThreadPool &pool) {
-  return Kernel::matmul(a, b, params, pool);
-}
-
-Matrix matmul_transposed(const Matrix &a, const Matrix &b) {
-  return Kernel::matmul_transposed(a, b, KernelParams{},
-                                   Kernel::default_pool());
-}
-
-Matrix matmul_transposed_opt(const Matrix &a, const Matrix &b,
-                             const KernelParams &params,
-                             parallel::ThreadPool &pool) {
-  return Kernel::matmul_transposed(a, b, params, pool);
-}
-
-std::vector<double> conv1d(std::span<const double> input,
-                           std::span<const double> weights) {
-  return Kernel::conv1d(input, weights, KernelParams{},
-                        Kernel::default_pool());
-}
-
-std::vector<double> conv1d_opt(std::span<const double> input,
-                               std::span<const double> weights,
-                               const KernelParams &params,
-                               parallel::ThreadPool &pool) {
-  return Kernel::conv1d(input, weights, params, pool);
-}
-
-Matrix conv2d(const Matrix &input, const Matrix &kernel) {
-  return Kernel::conv2d(input, kernel, KernelParams{}, Kernel::default_pool());
-}
-
-Matrix conv2d_opt(const Matrix &input, const Matrix &kernel,
-                  const KernelParams &params, parallel::ThreadPool &pool) {
-  return Kernel::conv2d(input, kernel, params, pool);
+  const detail::Backend *micro = micro_backend(params);
+  if (kernel.rows() == 0 || kernel.cols() == 0 ||
+      input.rows() < kernel.rows() || input.cols() < kernel.cols()) {
+    return Matrix{};
+  }
+  if (micro != nullptr) return micro->conv2d(input, kernel, params, pool);
+  if (pure_default(params)) return detail::legacy_conv2d(input, kernel);
+  return detail::legacy_conv2d_opt(input, kernel, params, pool);
 }
 
 }  // namespace treu::tensor

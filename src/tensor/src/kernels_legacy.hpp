@@ -1,9 +1,9 @@
 #pragma once
 
 // The pre-SIMD scalar kernel implementations, kept verbatim behind internal
-// names. Kernel::run routes Scalar-ISA schedules with no register tile here
-// so every schedule that existed before the dispatch redesign — including
-// the plain naive entry points — still produces bitwise-identical results.
+// names. The Kernel entry points route Scalar-ISA schedules with no register
+// tile here so every schedule that existed before the dispatch redesign —
+// including the plain naive ones — still produces bitwise-identical results.
 // Internal to src/tensor; the public surface is kernels.hpp.
 
 #include <span>

@@ -72,7 +72,8 @@ Pca Pca::fit(const Matrix &observations, std::size_t max_components) {
       auto dst = centered.row(i);
       for (std::size_t j = 0; j < d; ++j) dst[j] = src[j] - pca.mean_[j];
     }
-    Matrix gram = matmul_transposed(centered, centered);
+    Matrix gram = Kernel::matmul_transposed(centered, centered, KernelParams{},
+                                            Kernel::default_pool());
     gram *= 1.0 / static_cast<double>(n - 1);
     EigenResult eig = eigen_symmetric(gram);
     std::size_t keep = n;  // at most n nonzero modes (n-1 after centering)

@@ -14,6 +14,13 @@ namespace tt = treu::tensor;
 
 namespace {
 
+// The naive IJK matmul on the serial default pool.
+tt::Matrix naive_matmul(const tt::Matrix &a, const tt::Matrix &b) {
+  tt::KernelParams ijk;
+  ijk.order = tt::LoopOrder::IJK;
+  return tt::Kernel::matmul(a, b, ijk, tt::Kernel::default_pool());
+}
+
 // A random symmetric matrix with known spectrum: A = Q diag(vals) Q^T where
 // Q comes from orthonormalizing a random matrix via its SVD.
 tt::Matrix symmetric_with_spectrum(const std::vector<double> &vals,
@@ -23,7 +30,7 @@ tt::Matrix symmetric_with_spectrum(const std::vector<double> &vals,
   const tt::SvdResult s = tt::svd(g);
   tt::Matrix d(n, n, 0.0);
   for (std::size_t i = 0; i < n; ++i) d(i, i) = vals[i];
-  return tt::matmul(tt::matmul(s.u, d), s.u.transposed());
+  return naive_matmul(naive_matmul(s.u, d), s.u.transposed());
 }
 
 }  // namespace
@@ -47,7 +54,7 @@ TEST(Eigen, ReconstructsMatrix) {
   tt::Matrix d(4, 4, 0.0);
   for (std::size_t i = 0; i < 4; ++i) d(i, i) = e.values[i];
   const tt::Matrix recon =
-      tt::matmul(tt::matmul(e.vectors, d), e.vectors.transposed());
+      naive_matmul(naive_matmul(e.vectors, d), e.vectors.transposed());
   EXPECT_LT(recon.max_abs_diff(a), 1e-9);
 }
 
@@ -55,7 +62,7 @@ TEST(Eigen, EigenvectorsAreOrthonormal) {
   treu::core::Rng rng(3);
   const tt::Matrix a = symmetric_with_spectrum({3.0, 2.0, 1.0}, rng);
   const tt::EigenResult e = tt::eigen_symmetric(a);
-  const tt::Matrix vtv = tt::matmul(e.vectors.transposed(), e.vectors);
+  const tt::Matrix vtv = naive_matmul(e.vectors.transposed(), e.vectors);
   EXPECT_LT(vtv.max_abs_diff(tt::Matrix::identity(3)), 1e-9);
 }
 
@@ -92,7 +99,7 @@ TEST(Svd, ReconstructsRectangularTall) {
   const tt::SvdResult s = tt::svd(a);
   tt::Matrix d(4, 4, 0.0);
   for (std::size_t i = 0; i < 4; ++i) d(i, i) = s.singular[i];
-  const tt::Matrix recon = tt::matmul(tt::matmul(s.u, d), s.v.transposed());
+  const tt::Matrix recon = naive_matmul(naive_matmul(s.u, d), s.v.transposed());
   EXPECT_LT(recon.max_abs_diff(a), 1e-9);
 }
 
@@ -102,7 +109,7 @@ TEST(Svd, ReconstructsRectangularWide) {
   const tt::SvdResult s = tt::svd(a);
   tt::Matrix d(s.singular.size(), s.singular.size(), 0.0);
   for (std::size_t i = 0; i < s.singular.size(); ++i) d(i, i) = s.singular[i];
-  const tt::Matrix recon = tt::matmul(tt::matmul(s.u, d), s.v.transposed());
+  const tt::Matrix recon = naive_matmul(naive_matmul(s.u, d), s.v.transposed());
   EXPECT_LT(recon.max_abs_diff(a), 1e-9);
 }
 
@@ -131,10 +138,10 @@ TEST(Cholesky, FactorReconstructs) {
   // SPD matrix via A = B B^T + n I.
   treu::core::Rng rng(9);
   const tt::Matrix b = tt::Matrix::random_normal(4, 4, rng);
-  tt::Matrix a = tt::matmul(b, b.transposed());
+  tt::Matrix a = naive_matmul(b, b.transposed());
   for (std::size_t i = 0; i < 4; ++i) a(i, i) += 4.0;
   const tt::Matrix l = tt::cholesky(a);
-  const tt::Matrix recon = tt::matmul(l, l.transposed());
+  const tt::Matrix recon = naive_matmul(l, l.transposed());
   EXPECT_LT(recon.max_abs_diff(a), 1e-10);
   // Upper triangle of L must be zero.
   EXPECT_DOUBLE_EQ(l(0, 3), 0.0);
@@ -207,7 +214,7 @@ TEST(PowerIteration, FindsTopEigenpair) {
 TEST(PowerIteration, AgreesWithJacobiOnRandomMatrix) {
   treu::core::Rng rng(11);
   const tt::Matrix b = tt::Matrix::random_normal(6, 6, rng);
-  const tt::Matrix a = tt::matmul(b, b.transposed());
+  const tt::Matrix a = naive_matmul(b, b.transposed());
   const double jacobi_top = tt::eigen_symmetric(a).values[0];
   const double power_top = tt::power_iteration(a).value;
   EXPECT_NEAR(power_top, jacobi_top, 1e-6 * jacobi_top);

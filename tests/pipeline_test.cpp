@@ -764,6 +764,46 @@ TEST(PipelineRollout, TornJournalTailIsCountedCutAndChainedPast) {
   EXPECT_EQ(again.journal_string(), after);
 }
 
+TEST(PipelineRollout, FailedJournalAppendHaltsBeforeAnyHook) {
+  const std::string root = fresh_dir("journalfail");
+  const std::string journal = root + "/rollout.journal";
+  // A directory where the journal belongs: it reads as missing and every
+  // append fails to open it (EISDIR), whatever the process's privileges.
+  std::filesystem::create_directories(journal);
+  Deployment dep;
+  dep.init(31);
+  pipeline::ModelRegistry reg(root + "/registry");
+  dep.registry = &reg;
+  pipeline::RolloutHooks hooks = dep.hooks();
+  std::size_t canaries = 0, promotes = 0, rollbacks = 0;
+  hooks.start_canary = [&, inner = hooks.start_canary](
+                           const pipeline::RegistryEntry &entry) {
+    ++canaries;
+    return inner(entry);
+  };
+  hooks.promote = [&, inner = hooks.promote](
+                      const pipeline::RegistryEntry &entry) {
+    ++promotes;
+    return inner(entry);
+  };
+  hooks.rollback = [&, inner = hooks.rollback]() {
+    ++rollbacks;
+    return inner();
+  };
+  pipeline::RolloutConfig cfg;
+  cfg.max_score_regression = 0.05;
+  pipeline::RolloutController ctl(reg, std::move(hooks), cfg, journal);
+
+  const auto report = ctl.run_cycle(dep.good_candidate(100, 31));
+  EXPECT_EQ(canaries, 0u);
+  EXPECT_EQ(promotes, 0u);
+  EXPECT_EQ(rollbacks, 0u);
+  EXPECT_FALSE(report.error.empty());
+  EXPECT_TRUE(ctl.halted());
+  EXPECT_THROW((void)ctl.run_cycle(dep.good_candidate(200, 31)),
+               std::logic_error);
+}
+
 // ---------------------------------------------------------------------------
 // PipelineSoak: publish→canary→promote storms under injected faults.
 // Gtest filter contract: run_soak.sh --suite pipeline runs PipelineSoak.*

@@ -171,6 +171,23 @@ TEST(Problem, EveryKernelExecutesBaselineCorrectly) {
   }
 }
 
+TEST(Problem, ReferenceIsBitwiseTheBaselineSchedule) {
+  // reference() is the baseline schedule run through the typed Kernel
+  // entry points, so the two agree bit for bit on every kernel.
+  treu::core::Rng rng(9);
+  for (const auto kind : kAllKernels) {
+    ts::Problem problem(kind, small_size(kind), rng);
+    const std::vector<double> out =
+        problem.execute(ts::ScheduleSpace::baseline(kind), pool());
+    const std::vector<double> &ref = problem.reference();
+    ASSERT_EQ(out.size(), ref.size()) << tt::to_string(kind);
+    ASSERT_FALSE(ref.empty()) << tt::to_string(kind);
+    for (std::size_t i = 0; i < ref.size(); ++i) {
+      ASSERT_TRUE(out[i] == ref[i]) << tt::to_string(kind) << " at " << i;
+    }
+  }
+}
+
 TEST(Problem, RandomSchedulesAlwaysMatchReference) {
   // The semantic contract behind the whole autotuning experiment.
   ts::ScheduleSpace space;
