@@ -81,9 +81,14 @@ struct LoadResult {
 
 /// Write a checkpoint atomically (ckpt.save_us / ckpt.writes_total /
 /// ckpt.bytes_written telemetry). See atomic_write_file for `injector`.
+/// When `file_digest` is set it receives the SHA-256 of the encoded
+/// container, i.e. of the bytes intended for `path` (also when the write
+/// failed or was faulted), so a caller recording the file's digest neither
+/// encodes nor hashes the checkpoint a second time.
 [[nodiscard]] AtomicWriteResult save_checkpoint_file(
     const std::string &path, const TrainingCheckpoint &ckpt,
-    fault::FileInjector *injector = nullptr);
+    fault::FileInjector *injector = nullptr,
+    core::Digest *file_digest = nullptr);
 
 /// Read + decode one checkpoint file. A missing/unreadable file is Torn.
 [[nodiscard]] LoadResult load_checkpoint_file(const std::string &path);

@@ -50,6 +50,9 @@ class CheckpointStore {
     bool checkpoint_committed = false;
     bool manifest_committed = false;
     std::string path;  // final checkpoint path (whether or not committed)
+    /// SHA-256 of the encoded container: the bytes intended for `path`,
+    /// as recorded in the last-good manifest.
+    core::Digest file_digest;
     fault::FileFaultKind checkpoint_fault = fault::FileFaultKind::None;
     fault::FileFaultKind manifest_fault = fault::FileFaultKind::None;
     std::string error;  // non-injected I/O failure, empty otherwise

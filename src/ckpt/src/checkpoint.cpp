@@ -229,10 +229,12 @@ LoadResult decode_checkpoint(std::span<const std::uint8_t> bytes) {
 
 AtomicWriteResult save_checkpoint_file(const std::string &path,
                                        const TrainingCheckpoint &ckpt,
-                                       fault::FileInjector *injector) {
+                                       fault::FileInjector *injector,
+                                       core::Digest *file_digest) {
   TREU_OBS_SPAN(save_span, "ckpt.save");
   TREU_OBS_SCOPED_LATENCY_US(save_timer, "ckpt.save_us");
   const std::vector<std::uint8_t> bytes = ckpt.encode();
+  if (file_digest != nullptr) *file_digest = core::sha256(bytes);
   const AtomicWriteResult result = atomic_write_file(path, bytes, injector);
   if (result.committed) {
     TREU_OBS_COUNTER_ADD("ckpt.writes_total", 1);

@@ -105,9 +105,8 @@ CheckpointStore::WriteReport CheckpointStore::write(
   const std::string filename = filename_for_step(ckpt.step);
   report.path = dir_ + "/" + filename;
 
-  const std::vector<std::uint8_t> bytes = ckpt.encode();
   const AtomicWriteResult wr =
-      save_checkpoint_file(report.path, ckpt, injector_);
+      save_checkpoint_file(report.path, ckpt, injector_, &report.file_digest);
   report.checkpoint_committed = wr.committed;
   report.checkpoint_fault = wr.injected;
   report.error = wr.error;
@@ -116,7 +115,7 @@ CheckpointStore::WriteReport CheckpointStore::write(
   // The manifest records the digest of the bytes we *intended* to commit.
   // An injected FlipBit commits then rots the file, so the manifest check
   // will (correctly) fail at recovery and fall back to the scan.
-  const Manifest manifest{filename, hex(core::sha256(bytes))};
+  const Manifest manifest{filename, hex(report.file_digest)};
   const AtomicWriteResult mw = atomic_write_file(
       manifest_path(), encode_manifest(manifest), injector_);
   report.manifest_committed = mw.committed;

@@ -6,6 +6,17 @@
 // datasets, model weights, result tables, and the experiment manifests
 // themselves. A digest mismatch is the toolkit's primitive notion of "this
 // is not the computation you ran before".
+//
+// Two compression functions sit behind the one hasher. On x86 hosts whose
+// CPU has the SHA extensions (and builds whose compiler accepts -msha), a
+// SHA-NI kernel (sha256rnds2 / sha256msg1 / sha256msg2, sha256_shani.cpp)
+// runs; everywhere else the portable loop in sha256.cpp does. The choice is
+// made once per process by a CPUID probe. Both compute the FIPS 180-4
+// function, so a digest never depends on which one ran.
+//
+// update() hands every whole run of 64-byte blocks to the compression
+// function in one call, so only a partial leading/trailing block is copied
+// through the internal buffer.
 
 #include <array>
 #include <cstddef>
@@ -16,6 +27,27 @@
 #include <vector>
 
 namespace treu::core {
+
+namespace detail {
+
+/// A SHA-256 compression function: absorbs `nblocks` consecutive 64-byte
+/// blocks starting at `blocks` into the eight-word `state`.
+using Sha256Compress = void (*)(std::uint32_t *state,
+                                const std::uint8_t *blocks,
+                                std::size_t nblocks) noexcept;
+
+/// The portable compression loop; always available.
+[[nodiscard]] Sha256Compress sha256_portable_compress() noexcept;
+
+/// The SHA-NI compression function, or nullptr when this build lacks it or
+/// this CPU lacks SHA / SSE4.1 / SSSE3.
+[[nodiscard]] Sha256Compress sha256_shani_compress() noexcept;
+
+/// The compression function every default-constructed Sha256 uses: SHA-NI
+/// when usable, otherwise portable. Fixed on first call.
+[[nodiscard]] Sha256Compress sha256_compress() noexcept;
+
+}  // namespace detail
 
 /// 32-byte SHA-256 digest.
 struct Digest {
@@ -35,6 +67,10 @@ class Sha256 {
  public:
   Sha256() noexcept;
 
+  /// Hash through a specific compression function (the two-path parity
+  /// tests); production code uses the default constructor.
+  explicit Sha256(detail::Sha256Compress compress) noexcept;
+
   /// Absorb bytes. May be called any number of times.
   Sha256 &update(std::span<const std::uint8_t> data) noexcept;
   Sha256 &update(std::string_view text) noexcept;
@@ -51,8 +87,7 @@ class Sha256 {
   [[nodiscard]] Digest finish() noexcept;
 
  private:
-  void process_block(const std::uint8_t *block) noexcept;
-
+  detail::Sha256Compress compress_;
   std::array<std::uint32_t, 8> state_;
   std::array<std::uint8_t, 64> buffer_{};
   std::size_t buffer_len_ = 0;

@@ -1,24 +1,14 @@
 #include "treu/core/sha256.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cstring>
 #include <stdexcept>
 
+#include "sha256_k.hpp"
+
 namespace treu::core {
 namespace {
-
-constexpr std::array<std::uint32_t, 64> kK = {
-    0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1,
-    0x923f82a4, 0xab1c5ed5, 0xd807aa98, 0x12835b01, 0x243185be, 0x550c7dc3,
-    0x72be5d74, 0x80deb1fe, 0x9bdc06a7, 0xc19bf174, 0xe49b69c1, 0xefbe4786,
-    0x0fc19dc6, 0x240ca1cc, 0x2de92c6f, 0x4a7484aa, 0x5cb0a9dc, 0x76f988da,
-    0x983e5152, 0xa831c66d, 0xb00327c8, 0xbf597fc7, 0xc6e00bf3, 0xd5a79147,
-    0x06ca6351, 0x14292967, 0x27b70a85, 0x2e1b2138, 0x4d2c6dfc, 0x53380d13,
-    0x650a7354, 0x766a0abb, 0x81c2c92e, 0x92722c85, 0xa2bfe8a1, 0xa81a664b,
-    0xc24b8b70, 0xc76c51a3, 0xd192e819, 0xd6990624, 0xf40e3585, 0x106aa070,
-    0x19a4c116, 0x1e376c08, 0x2748774c, 0x34b0bcb5, 0x391c0cb3, 0x4ed8aa4a,
-    0x5b9cca4f, 0x682e6ff3, 0x748f82ee, 0x78a5636f, 0x84c87814, 0x8cc70208,
-    0x90befffa, 0xa4506ceb, 0xbef9a3f7, 0xc67178f2};
 
 constexpr std::array<std::uint32_t, 8> kInit = {
     0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
@@ -26,6 +16,56 @@ constexpr std::array<std::uint32_t, 8> kInit = {
 
 inline std::uint32_t rotr(std::uint32_t x, int n) noexcept {
   return std::rotr(x, n);
+}
+
+// One block of the portable compression function (FIPS 180-4 §6.2.2).
+void process_block(std::uint32_t *state, const std::uint8_t *block) noexcept {
+  std::array<std::uint32_t, 64> w;
+  for (int t = 0; t < 16; ++t) {
+    w[t] = (static_cast<std::uint32_t>(block[4 * t]) << 24) |
+           (static_cast<std::uint32_t>(block[4 * t + 1]) << 16) |
+           (static_cast<std::uint32_t>(block[4 * t + 2]) << 8) |
+           static_cast<std::uint32_t>(block[4 * t + 3]);
+  }
+  for (int t = 16; t < 64; ++t) {
+    const std::uint32_t s0 =
+        rotr(w[t - 15], 7) ^ rotr(w[t - 15], 18) ^ (w[t - 15] >> 3);
+    const std::uint32_t s1 =
+        rotr(w[t - 2], 17) ^ rotr(w[t - 2], 19) ^ (w[t - 2] >> 10);
+    w[t] = w[t - 16] + s0 + w[t - 7] + s1;
+  }
+
+  std::uint32_t a = state[0], b = state[1], c = state[2], d = state[3];
+  std::uint32_t e = state[4], f = state[5], g = state[6], h = state[7];
+  for (int t = 0; t < 64; ++t) {
+    const std::uint32_t S1 = rotr(e, 6) ^ rotr(e, 11) ^ rotr(e, 25);
+    const std::uint32_t ch = (e & f) ^ (~e & g);
+    const std::uint32_t t1 = h + S1 + ch + detail::kSha256K[t] + w[t];
+    const std::uint32_t S0 = rotr(a, 2) ^ rotr(a, 13) ^ rotr(a, 22);
+    const std::uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
+    const std::uint32_t t2 = S0 + maj;
+    h = g;
+    g = f;
+    f = e;
+    e = d + t1;
+    d = c;
+    c = b;
+    b = a;
+    a = t1 + t2;
+  }
+  state[0] += a;
+  state[1] += b;
+  state[2] += c;
+  state[3] += d;
+  state[4] += e;
+  state[5] += f;
+  state[6] += g;
+  state[7] += h;
+}
+
+void compress_portable(std::uint32_t *state, const std::uint8_t *blocks,
+                       std::size_t nblocks) noexcept {
+  for (; nblocks > 0; --nblocks, blocks += 64) process_block(state, blocks);
 }
 
 constexpr char kHexDigits[] = "0123456789abcdef";
@@ -65,28 +105,48 @@ Digest Digest::from_hex(std::string_view hex) {
   return d;
 }
 
-Sha256::Sha256() noexcept : state_(kInit) {}
+namespace detail {
+
+Sha256Compress sha256_portable_compress() noexcept { return compress_portable; }
+
+Sha256Compress sha256_compress() noexcept {
+  static const Sha256Compress chosen = [] {
+    const Sha256Compress shani = sha256_shani_compress();
+    return shani != nullptr ? shani : compress_portable;
+  }();
+  return chosen;
+}
+
+}  // namespace detail
+
+Sha256::Sha256() noexcept : Sha256(detail::sha256_compress()) {}
+
+Sha256::Sha256(detail::Sha256Compress compress) noexcept
+    : compress_(compress), state_(kInit) {}
 
 Sha256 &Sha256::update(std::span<const std::uint8_t> data) noexcept {
+  if (data.empty()) return *this;
   total_bits_ += static_cast<std::uint64_t>(data.size()) * 8;
-  std::size_t off = 0;
+  const std::uint8_t *p = data.data();
+  std::size_t left = data.size();
   if (buffer_len_ > 0) {
-    const std::size_t take = std::min(data.size(), 64 - buffer_len_);
-    std::memcpy(buffer_.data() + buffer_len_, data.data(), take);
+    const std::size_t take = std::min(left, 64 - buffer_len_);
+    std::memcpy(buffer_.data() + buffer_len_, p, take);
     buffer_len_ += take;
-    off += take;
-    if (buffer_len_ == 64) {
-      process_block(buffer_.data());
-      buffer_len_ = 0;
-    }
+    p += take;
+    left -= take;
+    if (buffer_len_ < 64) return *this;
+    compress_(state_.data(), buffer_.data(), 1);
+    buffer_len_ = 0;
   }
-  while (off + 64 <= data.size()) {
-    process_block(data.data() + off);
-    off += 64;
+  if (const std::size_t nblocks = left / 64; nblocks > 0) {
+    compress_(state_.data(), p, nblocks);
+    p += nblocks * 64;
+    left -= nblocks * 64;
   }
-  if (off < data.size()) {
-    std::memcpy(buffer_.data(), data.data() + off, data.size() - off);
-    buffer_len_ = data.size() - off;
+  if (left > 0) {
+    std::memcpy(buffer_.data(), p, left);
+    buffer_len_ = left;
   }
   return *this;
 }
@@ -97,18 +157,19 @@ Sha256 &Sha256::update(std::string_view text) noexcept {
 }
 
 Digest Sha256::finish() noexcept {
-  const std::uint64_t bits = total_bits_;
-  const std::uint8_t pad = 0x80;
-  update(std::span<const std::uint8_t>(&pad, 1));
-  const std::uint8_t zero = 0x00;
-  while (buffer_len_ != 56) {
-    update(std::span<const std::uint8_t>(&zero, 1));
+  // Padding (FIPS 180-4 §5.1.1): 0x80, zeros up to 56 mod 64, then the
+  // message length in bits, big-endian. One or two final blocks.
+  buffer_[buffer_len_++] = 0x80;
+  if (buffer_len_ > 56) {
+    std::memset(buffer_.data() + buffer_len_, 0, 64 - buffer_len_);
+    compress_(state_.data(), buffer_.data(), 1);
+    buffer_len_ = 0;
   }
-  std::array<std::uint8_t, 8> len{};
+  std::memset(buffer_.data() + buffer_len_, 0, 56 - buffer_len_);
   for (int i = 0; i < 8; ++i) {
-    len[i] = static_cast<std::uint8_t>(bits >> (56 - 8 * i));
+    buffer_[56 + i] = static_cast<std::uint8_t>(total_bits_ >> (56 - 8 * i));
   }
-  update(std::span<const std::uint8_t>(len.data(), len.size()));
+  compress_(state_.data(), buffer_.data(), 1);
 
   Digest d;
   for (int i = 0; i < 8; ++i) {
@@ -118,50 +179,6 @@ Digest Sha256::finish() noexcept {
     d.bytes[4 * i + 3] = static_cast<std::uint8_t>(state_[i]);
   }
   return d;
-}
-
-void Sha256::process_block(const std::uint8_t *block) noexcept {
-  std::array<std::uint32_t, 64> w;
-  for (int t = 0; t < 16; ++t) {
-    w[t] = (static_cast<std::uint32_t>(block[4 * t]) << 24) |
-           (static_cast<std::uint32_t>(block[4 * t + 1]) << 16) |
-           (static_cast<std::uint32_t>(block[4 * t + 2]) << 8) |
-           static_cast<std::uint32_t>(block[4 * t + 3]);
-  }
-  for (int t = 16; t < 64; ++t) {
-    const std::uint32_t s0 =
-        rotr(w[t - 15], 7) ^ rotr(w[t - 15], 18) ^ (w[t - 15] >> 3);
-    const std::uint32_t s1 =
-        rotr(w[t - 2], 17) ^ rotr(w[t - 2], 19) ^ (w[t - 2] >> 10);
-    w[t] = w[t - 16] + s0 + w[t - 7] + s1;
-  }
-
-  std::uint32_t a = state_[0], b = state_[1], c = state_[2], d = state_[3];
-  std::uint32_t e = state_[4], f = state_[5], g = state_[6], h = state_[7];
-  for (int t = 0; t < 64; ++t) {
-    const std::uint32_t S1 = rotr(e, 6) ^ rotr(e, 11) ^ rotr(e, 25);
-    const std::uint32_t ch = (e & f) ^ (~e & g);
-    const std::uint32_t t1 = h + S1 + ch + kK[t] + w[t];
-    const std::uint32_t S0 = rotr(a, 2) ^ rotr(a, 13) ^ rotr(a, 22);
-    const std::uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
-    const std::uint32_t t2 = S0 + maj;
-    h = g;
-    g = f;
-    f = e;
-    e = d + t1;
-    d = c;
-    c = b;
-    b = a;
-    a = t1 + t2;
-  }
-  state_[0] += a;
-  state_[1] += b;
-  state_[2] += c;
-  state_[3] += d;
-  state_[4] += e;
-  state_[5] += f;
-  state_[6] += g;
-  state_[7] += h;
 }
 
 Digest sha256(std::span<const std::uint8_t> data) noexcept {

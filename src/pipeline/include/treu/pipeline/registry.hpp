@@ -102,7 +102,9 @@ class ModelRegistry {
   /// checkpoint file against its recorded digest.
   [[nodiscard]] ScanReport scan() const;
 
-  /// Newest chain-verified entry whose file still verifies, if any.
+  /// Newest chain-verified entry whose file still verifies, if any: the
+  /// newest vetted entry of scan(). Vets newest-first and stops at the
+  /// first file that verifies, so it usually hashes one checkpoint.
   [[nodiscard]] std::optional<RegistryEntry> latest_vetted() const;
 
   /// Chain-verified entry with this version, if any.
@@ -129,6 +131,10 @@ class ModelRegistry {
   [[nodiscard]] static std::string genesis_digest();
 
  private:
+  /// scan() without the file vetting: the verified chain prefix, every
+  /// entry's `vetted` false and `unvetted` 0.
+  [[nodiscard]] ScanReport scan_chain() const;
+
   std::string dir_;
   ckpt::CheckpointStore store_;
   ckpt::DurableLog log_;

@@ -63,7 +63,7 @@ ModelRegistry::ModelRegistry(std::string dir, fault::FileInjector *injector)
   (void)log_.repair(entries_.size());
 }
 
-ModelRegistry::ScanReport ModelRegistry::scan() const {
+ModelRegistry::ScanReport ModelRegistry::scan_chain() const {
   const ckpt::DurableLog::Scan log = log_.scan();
   ScanReport report;
   report.log_missing = log.missing;
@@ -88,7 +88,11 @@ ModelRegistry::ScanReport ModelRegistry::scan() const {
     prev = entry->entry_digest;
     report.entries.push_back(std::move(*entry));
   }
+  return report;
+}
 
+ModelRegistry::ScanReport ModelRegistry::scan() const {
+  ScanReport report = scan_chain();
   for (auto &entry : report.entries) {
     entry.vetted = verify_entry(entry);
     if (!entry.vetted) ++report.unvetted;
@@ -113,9 +117,10 @@ std::uint64_t ModelRegistry::head_version() const {
 }
 
 std::optional<RegistryEntry> ModelRegistry::latest_vetted() const {
-  const ScanReport report = scan();
+  ScanReport report = scan_chain();
   for (auto it = report.entries.rbegin(); it != report.entries.rend(); ++it) {
-    if (it->vetted) return *it;
+    it->vetted = verify_entry(*it);
+    if (it->vetted) return std::move(*it);
   }
   return std::nullopt;
 }
@@ -134,7 +139,8 @@ ModelRegistry::PublishReport ModelRegistry::publish(
   TREU_OBS_SCOPED_LATENCY_US(publish_timer, "pipeline.publish_us");
   PublishReport report;
 
-  const std::vector<std::uint8_t> bytes = ckpt.encode();
+  // One encode and one file hash: the store's write digests the bytes it
+  // commits, and that digest goes into both the manifest and the record.
   const ckpt::CheckpointStore::WriteReport wr = store_.write(ckpt);
   report.committed = wr.checkpoint_committed;
   if (!wr.checkpoint_committed) {
@@ -160,7 +166,7 @@ ModelRegistry::PublishReport ModelRegistry::publish(
   entry.step = ckpt.step;
   entry.filename = ckpt::CheckpointStore::filename_for_step(ckpt.step);
   entry.weight_digest = ckpt.weight_digest().hex();
-  entry.file_digest = core::sha256(bytes).hex();
+  entry.file_digest = wr.file_digest.hex();
   entry.prev_digest = head_digest();
   const std::string payload = format_payload(entry);
 

@@ -5,14 +5,18 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <span>
 #include <stdexcept>
+#include <vector>
 
 #include "treu/core/compare.hpp"
 #include "treu/core/env.hpp"
 #include "treu/core/journal_io.hpp"
 #include "treu/core/manifest.hpp"
 #include "treu/core/provenance.hpp"
+#include "treu/core/rng.hpp"
 #include "treu/core/sha256.hpp"
 
 namespace tc = treu::core;
@@ -53,6 +57,96 @@ TEST(Sha256, SplitAtBlockBoundary) {
   h.update(std::string_view(msg).substr(0, 64));
   h.update(std::string_view(msg).substr(64));
   EXPECT_EQ(h.finish().hex(), tc::sha256(msg).hex());
+}
+
+// ---------------------------------------------------------------------------
+// Two compression paths. The SHA-NI kernel and the portable loop must give
+// the same digest for every input; the Fips180 tests above run whichever
+// path this host selected, these pin the other one too.
+
+std::vector<std::uint8_t> seeded_bytes(std::size_t n, std::uint64_t seed) {
+  tc::Rng rng(seed);
+  std::vector<std::uint8_t> out(n);
+  for (auto &b : out) b = static_cast<std::uint8_t>(rng.next_u32());
+  return out;
+}
+
+tc::Digest digest_with(tc::detail::Sha256Compress compress,
+                       std::span<const std::uint8_t> data) {
+  return tc::Sha256(compress).update(data).finish();
+}
+
+TEST(Sha256TwoPath, DefaultIsShaNiWhenUsableElsePortable) {
+  const auto shani = tc::detail::sha256_shani_compress();
+  EXPECT_EQ(tc::detail::sha256_compress(),
+            shani != nullptr ? shani : tc::detail::sha256_portable_compress());
+}
+
+TEST(Sha256TwoPath, PortableMatchesFipsVectors) {
+  const auto portable = tc::detail::sha256_portable_compress();
+  const auto text = [](std::string_view s) {
+    return std::span<const std::uint8_t>(
+        reinterpret_cast<const std::uint8_t *>(s.data()), s.size());
+  };
+  EXPECT_EQ(digest_with(portable, text("")).hex(),
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855");
+  EXPECT_EQ(digest_with(portable, text("abc")).hex(),
+            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad");
+  EXPECT_EQ(
+      digest_with(portable,
+                  text("abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"))
+          .hex(),
+      "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1");
+}
+
+TEST(Sha256TwoPath, AgreeOnEveryLengthUpTo1024) {
+  const auto shani = tc::detail::sha256_shani_compress();
+  if (shani == nullptr) GTEST_SKIP() << "no SHA extensions on this host/build";
+  const auto portable = tc::detail::sha256_portable_compress();
+  const std::vector<std::uint8_t> msg = seeded_bytes(1024, 11);
+  for (std::size_t n = 0; n <= msg.size(); ++n) {
+    // An exact-size copy, so an overread past the message is a sanitizer
+    // error rather than a read of the rest of `msg`.
+    const std::vector<std::uint8_t> exact(msg.begin(), msg.begin() + n);
+    ASSERT_EQ(digest_with(shani, exact), digest_with(portable, exact))
+        << "length " << n;
+  }
+}
+
+TEST(Sha256TwoPath, AgreeOnOneMebibyte) {
+  const auto shani = tc::detail::sha256_shani_compress();
+  if (shani == nullptr) GTEST_SKIP() << "no SHA extensions on this host/build";
+  const std::vector<std::uint8_t> msg = seeded_bytes(std::size_t{1} << 20, 12);
+  EXPECT_EQ(digest_with(shani, msg),
+            digest_with(tc::detail::sha256_portable_compress(), msg));
+}
+
+TEST(Sha256TwoPath, AgreeOnSeededRandomUpdateSplits) {
+  const auto shani = tc::detail::sha256_shani_compress();
+  if (shani == nullptr) GTEST_SKIP() << "no SHA extensions on this host/build";
+  const auto portable = tc::detail::sha256_portable_compress();
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    tc::Rng rng(seed, 99);
+    const std::vector<std::uint8_t> msg =
+        seeded_bytes(rng.uniform_index(4096), seed);
+    const tc::Digest want = digest_with(portable, msg);
+    // The same split fed to both paths, each chunk 0..199 bytes.
+    tc::Sha256 a(shani);
+    tc::Sha256 b(portable);
+    std::size_t off = 0;
+    while (off < msg.size()) {
+      const std::size_t take = std::min<std::size_t>(
+          msg.size() - off, rng.uniform_index(200));
+      const auto chunk = std::span<const std::uint8_t>(msg).subspan(off, take);
+      a.update(chunk);
+      b.update(chunk);
+      off += take;
+    }
+    const tc::Digest got_a = a.finish();
+    const tc::Digest got_b = b.finish();
+    EXPECT_EQ(got_a, want) << "seed " << seed << ", " << msg.size() << " B";
+    EXPECT_EQ(got_b, want) << "seed " << seed << ", " << msg.size() << " B";
+  }
 }
 
 TEST(Digest, HexRoundTrip) {

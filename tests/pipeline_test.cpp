@@ -437,6 +437,72 @@ TEST(PipelineRegistry, PublishCorruptLeavesEntryUnvetted) {
   EXPECT_EQ(latest->version, 1u);  // the rotted v2 is never served
 }
 
+// Flip one bit in the middle of a committed checkpoint file: rot at rest,
+// after the publish vetted it.
+void rot_file(const std::string &path) {
+  auto bytes = ckpt::read_file(path);
+  ASSERT_TRUE(bytes.has_value() && !bytes->empty()) << path;
+  (*bytes)[bytes->size() / 2] ^= 0x04;
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(reinterpret_cast<const char *>(bytes->data()),
+            static_cast<std::streamsize>(bytes->size()));
+}
+
+TEST(PipelineRegistry, LatestVettedSkipsARottedNewestFile) {
+  pipeline::ModelRegistry reg(fresh_dir("latest_rot"));
+  for (const std::uint64_t step : {10u, 20u, 30u}) {
+    ASSERT_TRUE(reg.publish(toy_ckpt(step)).vetted);
+  }
+  rot_file(reg.dir() + "/" + ckpt::CheckpointStore::filename_for_step(30));
+  const auto latest = reg.latest_vetted();
+  ASSERT_TRUE(latest.has_value());
+  EXPECT_EQ(latest->version, 2u);
+  EXPECT_EQ(latest->step, 20u);
+  EXPECT_TRUE(latest->vetted);
+}
+
+TEST(PipelineRegistry, LatestVettedIsEmptyWhenEveryFileRotted) {
+  pipeline::ModelRegistry reg(fresh_dir("latest_allrot"));
+  for (const std::uint64_t step : {10u, 20u, 30u}) {
+    ASSERT_TRUE(reg.publish(toy_ckpt(step)).vetted);
+    rot_file(reg.dir() + "/" + ckpt::CheckpointStore::filename_for_step(step));
+  }
+  EXPECT_FALSE(reg.latest_vetted().has_value());
+  EXPECT_EQ(reg.scan().unvetted, 3u);
+}
+
+TEST(PipelineRegistry, LatestVettedEqualsTheNewestVettedEntryOfAFullScan) {
+  pipeline::ModelRegistry reg(fresh_dir("latest_scan"));
+  for (std::uint64_t i = 1; i <= 8; ++i) {
+    // Every third publish rots at publish time; v7 and v8 rot later.
+    pipeline::PublishFaults faults;
+    faults.corrupt_file = i % 3 == 0;
+    ASSERT_TRUE(reg.publish(toy_ckpt(10 * i), faults).logged);
+    if (i == 8) {
+      for (const std::uint64_t step : {70u, 80u}) {
+        rot_file(reg.dir() + "/" +
+                 ckpt::CheckpointStore::filename_for_step(step));
+      }
+    }
+    const auto scan = reg.scan();
+    std::optional<pipeline::RegistryEntry> want;
+    for (const auto &entry : scan.entries) {
+      if (entry.vetted) want = entry;
+    }
+    const auto got = reg.latest_vetted();
+    ASSERT_EQ(got.has_value(), want.has_value()) << "after v" << i;
+    ASSERT_TRUE(got.has_value());
+    EXPECT_EQ(got->version, want->version) << "after v" << i;
+    EXPECT_EQ(got->step, want->step);
+    EXPECT_EQ(got->filename, want->filename);
+    EXPECT_EQ(got->file_digest, want->file_digest);
+    EXPECT_EQ(got->prev_digest, want->prev_digest);
+    EXPECT_EQ(got->entry_digest, want->entry_digest);
+    EXPECT_TRUE(got->vetted);
+  }
+  EXPECT_EQ(reg.latest_vetted()->version, 5u);
+}
+
 TEST(PipelineRegistry, TornLogAppendRecoversLikeACrash) {
   const std::string dir = fresh_dir("tornappend");
   {
