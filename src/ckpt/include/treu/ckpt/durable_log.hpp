@@ -19,7 +19,10 @@
 // repair(keep) is the open step: it truncates to the header plus the first
 // `keep` verified records and moves the head there (until it runs, appends
 // chain onto genesis). A missing log is left missing: nothing is written
-// or fsynced before the first append.
+// or fsynced before the first append. When the cut itself fails, the log
+// keeps its head and refuses appends until a repair succeeds, since a
+// record chained after the lines left on disk would be dropped by the next
+// scan.
 
 #include <cstddef>
 #include <string>
@@ -51,8 +54,10 @@ class DurableLog {
   [[nodiscard]] Scan scan() const;
 
   /// Cut to the header plus min(keep, verified) records and move the head
-  /// there; a damaged header removes the file. Returns the lines cut.
-  std::size_t repair(std::size_t keep);
+  /// there; a damaged header removes the file. Returns the lines cut. If
+  /// the cut or the removal fails, sets `error`, keeps the head, and every
+  /// append fails until a later repair() succeeds.
+  std::size_t repair(std::size_t keep, std::string *error = nullptr);
 
   /// Durably append one record chained onto head(); `payload` must be one
   /// line. On failure returns false, sets `error`, and keeps the head.
@@ -60,6 +65,10 @@ class DurableLog {
 
   /// Simulated crash mid-append: half the record line reaches the file.
   void append_torn(std::string_view payload);
+
+  /// Test hook: while set, every repair() in the process fails its cut or
+  /// removal as a filesystem refusing it would (EPERM), touching nothing.
+  static void fail_repairs_for_testing(bool fail) noexcept;
 
   [[nodiscard]] core::Digest genesis() const;
   [[nodiscard]] const core::Digest &head() const noexcept { return head_; }
@@ -71,6 +80,7 @@ class DurableLog {
   std::string path_;
   std::string header_;
   core::Digest head_;
+  std::string repair_error_;  // non-empty: the last repair() failed
 };
 
 }  // namespace treu::ckpt

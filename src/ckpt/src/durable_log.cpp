@@ -5,6 +5,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cerrno>
 #include <cstdint>
 #include <cstring>
@@ -21,6 +22,8 @@ namespace {
 constexpr std::string_view kDigestSep = " d=";
 constexpr std::size_t kHexLen = 64;
 constexpr std::size_t kSuffixLen = 3 + kHexLen;  // " d=<64hex>"
+
+std::atomic<bool> g_fail_repairs{false};
 
 std::string_view as_text(const std::vector<std::uint8_t> &bytes) {
   return {reinterpret_cast<const char *>(bytes.data()), bytes.size()};
@@ -91,24 +94,44 @@ DurableLog::Scan DurableLog::scan() const {
   return verify(text.substr(header_.size() + 1), genesis());
 }
 
-std::size_t DurableLog::repair(std::size_t keep) {
-  head_ = genesis();
+std::size_t DurableLog::repair(std::size_t keep, std::string *error) {
+  repair_error_.clear();
+  core::Digest head = genesis();
   const auto raw = read_file(path_);
-  if (!raw) return 0;
+  if (!raw) {
+    head_ = head;
+    return 0;
+  }
   const std::string_view text = as_text(*raw);
+  std::size_t end = 0;  // a damaged header orphans every line: remove them
+  if (has_header(text, header_)) {
+    const Scan scan = verify(text.substr(header_.size() + 1), head);
+    end = header_.size() + 1;
+    for (std::size_t i = 0; i < std::min(keep, scan.records.size()); ++i) {
+      end += scan.records[i].payload.size() + kSuffixLen + 1;
+      head = scan.records[i].digest;
+    }
+  }
   std::error_code ec;
-  if (!has_header(text, header_)) {
+  if (end < text.size() && g_fail_repairs.load()) {
+    ec = std::make_error_code(std::errc::operation_not_permitted);
+  } else if (end == 0) {
     std::filesystem::remove(path_, ec);
-    return count_lines(text);
+  } else if (end < text.size()) {
+    std::filesystem::resize_file(path_, end, ec);
   }
-  const Scan scan = verify(text.substr(header_.size() + 1), head_);
-  std::size_t end = header_.size() + 1;
-  for (std::size_t i = 0; i < std::min(keep, scan.records.size()); ++i) {
-    end += scan.records[i].payload.size() + kSuffixLen + 1;
-    head_ = scan.records[i].digest;
+  if (ec) {
+    repair_error_ = std::string(end == 0 ? "remove" : "truncate") +
+                    " failed: " + path_ + ": " + ec.message();
+    if (error != nullptr) *error = repair_error_;
+  } else {
+    head_ = head;
   }
-  if (end < text.size()) std::filesystem::resize_file(path_, end, ec);
   return count_lines(text.substr(end));
+}
+
+void DurableLog::fail_repairs_for_testing(bool fail) noexcept {
+  g_fail_repairs.store(fail);
 }
 
 bool DurableLog::append(std::string_view payload, std::string *error) {
@@ -128,6 +151,10 @@ bool DurableLog::write_record(std::string_view payload, bool tear,
     }
     return false;
   };
+  if (!repair_error_.empty()) {
+    if (error != nullptr) *error = "log left unrepaired: " + repair_error_;
+    return false;
+  }
   if (payload.find('\n') != std::string_view::npos) {
     if (error != nullptr) *error = "log payload spans lines: " + path_;
     return false;

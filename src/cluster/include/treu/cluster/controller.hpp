@@ -37,10 +37,13 @@
 //    In-process kinds (Throw/Stall/...) are ignored here — they belong to
 //    the worker's own BatchServer injector.
 //  - Replay: with `journal` on, every deterministic decision (submit,
-//    dispatch, injected kill, death, failover, fulfillment) appends one
-//    line; two runs of the same seeded closed-loop workload produce
-//    byte-identical journals. Heartbeat traffic is deliberately not
-//    journaled — its timing is wall-clock.
+//    dispatch, injected kill, death, failover, fulfillment) is one line;
+//    two runs of the same seeded closed-loop workload produce byte-identical
+//    journals. Each line is folded into a running chain digest (the
+//    ckpt::DurableLog rule under kJournalHeader), and only the newest
+//    kJournalTailLines lines are kept, so the journal's memory is constant
+//    however long the controller lives. Heartbeat traffic is deliberately
+//    not journaled — its timing is wall-clock.
 //
 // The single-process serving path does not route through any of this:
 // failover, timeouts and shedding default off, and a BatchServer used
@@ -55,14 +58,22 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "treu/cluster/wire.hpp"
+#include "treu/core/sha256.hpp"
 #include "treu/fault/injector.hpp"
 #include "treu/obs/causal.hpp"
 #include "treu/serve/resilience.hpp"
 
 namespace treu::cluster {
+
+/// Decision-journal lines a controller retains (its newest ones).
+inline constexpr std::size_t kJournalTailLines = 4096;
+/// The journal chain's header: its SHA-256 is the digest before any line,
+/// as for a ckpt::DurableLog opened with this header.
+inline constexpr std::string_view kJournalHeader = "treu.cluster.journal v1";
 
 struct ClusterConfig {
   /// register_worker() kind every shard runs. Required.
@@ -104,7 +115,8 @@ struct ClusterConfig {
   /// dispatches. max_attempts 1 (default) = no failover.
   serve::RetryPolicy retry;
 
-  /// Respawn declared-dead workers (up to max_restarts each).
+  /// Respawn declared-dead workers (up to max_restarts each) from the
+  /// monitor, without waiting for their Hello.
   bool auto_restart = false;
   std::size_t max_restarts = 4;
 
@@ -178,6 +190,7 @@ struct ClusterStats {
   std::uint64_t link_drops_injected = 0;
   std::uint64_t frames_torn = 0;
   std::uint64_t frames_corrupt = 0;
+  std::uint64_t journal_lines = 0;  // every line journaled, retained or not
   std::size_t inflight = 0;
   std::map<std::uint32_t, TenantStats> tenants;
 };
@@ -236,7 +249,9 @@ class ClusterController {
 
   /// Spawn a replacement for a dead (or drained) shard. Any still-running
   /// previous incarnation is fenced with SIGKILL first. Blocks until the
-  /// replacement's Hello (false on timeout).
+  /// replacement's Hello (false on timeout). Auto-restart spawns the same
+  /// way but never waits: the monitor keeps failing over and timing out
+  /// while the replacement starts.
   bool restart_worker(std::size_t shard);
 
   /// Hot-reload one worker's weights from a checkpoint file (blocking;
@@ -254,8 +269,15 @@ class ClusterController {
 
   [[nodiscard]] ClusterStats stats() const;
   [[nodiscard]] WorkerInfo worker(std::size_t shard) const;
-  /// The deterministic decision journal (empty unless config.journal).
+  /// The retained tail of the deterministic decision journal, oldest
+  /// first: its last kJournalTailLines lines, which is the whole journal
+  /// for shorter runs. Empty unless config.journal.
   [[nodiscard]] std::vector<std::string> journal() const;
+  /// Chain head over every journaled line, retained or not:
+  /// d_0 = SHA-256(kJournalHeader), d_i = chain_next(d_{i-1},
+  /// SHA-256(line_i)); equal to the head() of a ckpt::DurableLog with
+  /// that header fed the same lines. d_0 unless config.journal.
+  [[nodiscard]] core::Digest journal_digest() const;
   [[nodiscard]] const ClusterConfig &config() const noexcept;
 
  private:

@@ -7,6 +7,8 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <charconv>
+#include <concepts>
 #include <condition_variable>
 #include <mutex>
 #include <thread>
@@ -43,6 +45,16 @@ bool send_all(int fd, std::mutex &mu, const std::vector<std::uint8_t> &bytes) {
     off += static_cast<std::size_t>(n);
   }
   return true;
+}
+
+// Journal line parts, formatted in place into a reused ring slot.
+void append_part(std::string &out, std::string_view text) { out.append(text); }
+
+template <std::integral T>
+void append_part(std::string &out, T value) {
+  char buf[24];
+  const auto r = std::to_chars(buf, buf + sizeof buf, value);
+  out.append(buf, r.ptr);
 }
 
 }  // namespace
@@ -101,6 +113,7 @@ struct ClusterController::Impl {
     }
     shed_mark = static_cast<std::size_t>(
         config.shed_watermark * static_cast<double>(config.max_inflight));
+    if (config.journal) journal_tail.resize(kJournalTailLines);
 
     workers.reserve(config.workers);
     for (std::size_t s = 0; s < config.workers; ++s) {
@@ -133,9 +146,17 @@ struct ClusterController::Impl {
     return config.clock ? config.clock() : wall_now_us();
   }
 
-  /// Deterministic decisions only; callers hold mu.
-  void jot(std::string line) {
-    if (config.journal) journal_lines.push_back(std::move(line));
+  /// Deterministic decisions only; callers hold mu. The line is formatted
+  /// into the oldest ring slot (its capacity reused, so steady state
+  /// allocates nothing) and folded into the chain digest.
+  template <typename... Parts>
+  void jot(const Parts &...parts) {
+    if (!config.journal) return;
+    std::string &line = journal_tail[stats.journal_lines % kJournalTailLines];
+    line.clear();
+    (append_part(line, parts), ...);
+    journal_head = core::chain_next(journal_head, core::sha256(line));
+    ++stats.journal_lines;
   }
 
   // ---- spawn / restart -----------------------------------------------------
@@ -157,7 +178,7 @@ struct ClusterController::Impl {
     w.spawn_us = now_us();
     w.last_ack_us = w.spawn_us;
     w.last_hb_us = w.spawn_us;
-    jot("spawn shard=" + std::to_string(shard));
+    jot("spawn shard=", shard);
     TREU_OBS_FR_EVENT(ClusterSpawn, 0, shard,
                       static_cast<std::uint64_t>(sw.pid));
     const std::uint64_t gen = w.gen;
@@ -168,18 +189,22 @@ struct ClusterController::Impl {
     (void)lock;
   }
 
-  /// Fence and replace a shard's incarnation. Caller holds mu; unlocks to
-  /// join the old reader. False when the replacement misses its Hello.
-  bool restart(std::unique_lock<std::mutex> &lock, std::size_t shard) {
+  /// Fence and replace a shard's incarnation without waiting for its
+  /// Hello: the replacement is live but unready until it arrives, which
+  /// recovery_possible() defers dispatch for and tick() bounds by
+  /// hello_timeout. Caller holds mu; unlocks to join the old reader and
+  /// reap. False when shutdown won the race and nothing was spawned.
+  bool respawn(std::unique_lock<std::mutex> &lock, std::size_t shard) {
     WorkerSlot &w = *workers[shard];
-    if (w.live && w.ready) return true;  // nothing to do
     if (w.pid > 0 && !w.reaped) ::kill(w.pid, SIGKILL);
     if (w.fd >= 0) ::shutdown(w.fd, SHUT_RDWR);
     std::thread old_reader = std::move(w.reader);
     const int old_pid = w.pid;
     const int old_fd = w.fd;
+    const std::uint64_t old_gen = w.gen;
     const bool need_reap = old_pid > 0 && !w.reaped;
     w.reaped = true;  // we reap below, outside the lock
+    w.fd = -1;
     lock.unlock();
     if (old_reader.joinable()) old_reader.join();
     if (need_reap) {
@@ -187,17 +212,25 @@ struct ClusterController::Impl {
       ::waitpid(old_pid, &status, 0);
     }
     lock.lock();
-    if (old_fd >= 0) dead_fds.push_back(old_fd);  // closed at teardown
-    w.fd = -1;
+    if (old_fd >= 0 && shut) ::close(old_fd);  // teardown already ran
+    if (old_fd >= 0 && !shut) dead_fds.push_back(old_fd);  // closed at teardown
     if (stopping || shut) return false;  // shutdown won: don't respawn
+    if (w.gen != old_gen) return true;   // a concurrent caller respawned it
     ++w.restarts;
     ++stats.worker_restarts;
     TREU_OBS_COUNTER_ADD("cluster.worker_restarts", 1);
-    jot("restart shard=" + std::to_string(shard) +
-        " n=" + std::to_string(w.restarts));
+    jot("restart shard=", shard, " n=", w.restarts);
     TREU_OBS_FR_EVENT(ClusterRestart, 0, shard, w.restarts);
     spawn(lock, shard);
-    const std::uint64_t gen = w.gen;
+    return true;
+  }
+
+  /// respawn(), then block until the replacement's Hello (restart_worker's
+  /// contract). False when it misses hello_timeout or shutdown won.
+  bool restart(std::unique_lock<std::mutex> &lock, std::size_t shard) {
+    if (workers[shard]->live && workers[shard]->ready) return true;
+    if (!respawn(lock, shard)) return false;
+    const std::uint64_t gen = workers[shard]->gen;
     const auto deadline =
         std::chrono::steady_clock::now() +
         std::chrono::microseconds(config.hello_timeout.count());
@@ -218,7 +251,7 @@ struct ClusterController::Impl {
     w.ready = false;
     ++stats.worker_deaths;
     TREU_OBS_COUNTER_ADD("cluster.worker_deaths", 1);
-    jot("dead shard=" + std::to_string(shard) + " reason=" + reason);
+    jot("dead shard=", shard, " reason=", reason);
     TREU_OBS_FR_EVENT(ClusterWorkerDead, 0, shard, stats.worker_deaths);
 
     const std::int64_t now = now_us();
@@ -250,8 +283,7 @@ struct ClusterController::Impl {
     e.shard = kNone;
     e.resend_at_us = now + delay.count();
     e.deadline_us = -1;
-    jot("failover seq=" + std::to_string(seq) +
-        " next_attempt=" + std::to_string(e.attempts + 1));
+    jot("failover seq=", seq, " next_attempt=", e.attempts + 1);
     TREU_OBS_FR_EVENT(ClusterRetry, e.trace.lo, kNone, e.attempts + 1);
   }
 
@@ -265,7 +297,7 @@ struct ClusterController::Impl {
     tenant_inflight[e.tenant]--;
     TREU_OBS_COUNTER_ADD("cluster.failed_total", 1);
     TREU_OBS_GAUGE_ADD("cluster.inflight", -1);
-    jot("fail seq=" + std::to_string(it->first) + " why=" + why);
+    jot("fail seq=", it->first, " why=", why);
     TREU_OBS_FR_EVENT(ClusterRequestFail, e.trace.lo, e.shard, e.attempts);
     e.promise.set_exception(std::make_exception_ptr(ClusterFailedError(why)));
     inflight.erase(it);
@@ -327,9 +359,7 @@ struct ClusterController::Impl {
       ++stats.retries;
       TREU_OBS_COUNTER_ADD("cluster.retry_total", 1);
     }
-    jot("dispatch seq=" + std::to_string(seq) +
-        " shard=" + std::to_string(target) +
-        " attempt=" + std::to_string(e.attempts));
+    jot("dispatch seq=", seq, " shard=", target, " attempt=", e.attempts);
     TREU_OBS_FR_EVENT(ClusterDispatch, e.trace.lo, target, e.attempts);
 
     if (config.injector != nullptr) {
@@ -338,7 +368,7 @@ struct ClusterController::Impl {
       if (d.kind == fault::FaultKind::WorkerKill) {
         ++stats.kills_injected;
         TREU_OBS_COUNTER_ADD("cluster.kills_injected", 1);
-        jot("kill shard=" + std::to_string(target) + " injected");
+        jot("kill shard=", target, " injected");
         TREU_OBS_FR_EVENT(ClusterKillInjected, e.trace.lo, target,
                           fault_events);
         WorkerSlot &w = *workers[target];
@@ -352,8 +382,7 @@ struct ClusterController::Impl {
       if (d.kind == fault::FaultKind::LinkDrop) {
         ++stats.link_drops_injected;
         TREU_OBS_COUNTER_ADD("cluster.link_drops_injected", 1);
-        jot("drop seq=" + std::to_string(seq) +
-            " shard=" + std::to_string(target) + " injected");
+        jot("drop seq=", seq, " shard=", target, " injected");
         TREU_OBS_FR_EVENT(ClusterLinkDrop, e.trace.lo, target, fault_events);
         // The frame vanishes on the wire: never written. request_timeout
         // (or this worker later dying) recovers the entry.
@@ -363,8 +392,7 @@ struct ClusterController::Impl {
         ++stats.stalls_injected;
         TREU_OBS_COUNTER_ADD("cluster.stalls_injected", 1);
         const auto us = static_cast<std::uint64_t>(d.stall.count());
-        jot("stall shard=" + std::to_string(target) +
-            " us=" + std::to_string(us) + " injected");
+        jot("stall shard=", target, " us=", us, " injected");
         TREU_OBS_FR_EVENT(ClusterStallInjected, e.trace.lo, target, us);
         Frame stall;
         stall.type = FrameType::Stall;
@@ -497,9 +525,7 @@ struct ClusterController::Impl {
         tenant_inflight[e.tenant]--;
         TREU_OBS_COUNTER_ADD("cluster.fulfilled_total", 1);
         TREU_OBS_GAUGE_ADD("cluster.inflight", -1);
-        jot("fulfill seq=" + std::to_string(f.seq) +
-            " shard=" + std::to_string(shard) +
-            " attempts=" + std::to_string(e.attempts));
+        jot("fulfill seq=", f.seq, " shard=", shard, " attempts=", e.attempts);
         TREU_OBS_FR_EVENT(ClusterFulfill, e.trace.lo, shard, e.attempts);
         e.promise.set_value(std::move(resp));
         inflight.erase(it);
@@ -516,8 +542,7 @@ struct ClusterController::Impl {
         PayloadReader r({f.payload.data(), f.payload.size()});
         std::string why;
         if (!r.str(why)) why = "worker error (payload undecodable)";
-        jot("workerfail seq=" + std::to_string(f.seq) +
-            " shard=" + std::to_string(shard));
+        jot("workerfail seq=", f.seq, " shard=", shard);
         // A worker-side failure is terminal, not retried: the worker's own
         // BatchServer already applied its retry budget, so the outcome is
         // the request's one deterministic resolution.
@@ -531,8 +556,7 @@ struct ClusterController::Impl {
         w.drain_served = served;
         w.drained = true;
         w.live = false;
-        jot("drain shard=" + std::to_string(shard) +
-            " served=" + std::to_string(served));
+        jot("drain shard=", shard, " served=", served);
         TREU_OBS_FR_EVENT(ClusterDrain, 0, shard, served);
         cv.notify_all();
         break;
@@ -548,8 +572,7 @@ struct ClusterController::Impl {
         if (out.ok && !out.weight_hash.empty()) {
           w.weight_hash = out.weight_hash;
         }
-        jot("reload shard=" + std::to_string(shard) +
-            " ok=" + std::to_string(out.ok ? 1 : 0));
+        jot("reload shard=", shard, " ok=", out.ok ? 1 : 0);
         TREU_OBS_FR_EVENT(ClusterReload, 0, shard, out.ok ? 1 : 0);
         it->second.set_value(std::move(out));
         pending_reloads.erase(it);
@@ -622,8 +645,7 @@ struct ClusterController::Impl {
       if (it == inflight.end()) continue;
       ++stats.timeouts;
       TREU_OBS_COUNTER_ADD("cluster.timeouts", 1);
-      jot("timeout seq=" + std::to_string(seq) +
-          " shard=" + std::to_string(it->second.shard));
+      jot("timeout seq=", seq, " shard=", it->second.shard);
       schedule_failover(seq, now);
     }
 
@@ -642,7 +664,7 @@ struct ClusterController::Impl {
       for (std::size_t s = 0; s < workers.size(); ++s) {
         WorkerSlot &w = *workers[s];
         if (!w.live && !w.drained && w.restarts < config.max_restarts) {
-          (void)restart(lock, s);
+          (void)respawn(lock, s);
         }
       }
     }
@@ -694,8 +716,9 @@ struct ClusterController::Impl {
   bool accepting = true;
   bool stopping = false;
   bool shut = false;
-  ClusterStats stats;
-  std::vector<std::string> journal_lines;
+  ClusterStats stats;  // stats.journal_lines counts every jot()
+  std::vector<std::string> journal_tail;  // ring of the newest lines
+  core::Digest journal_head = core::sha256(kJournalHeader);
 
   std::thread monitor;
 };
@@ -723,7 +746,7 @@ std::future<ClusterResponse> ClusterController::submit(
     ++im.stats.rejected;
     ++im.stats.tenants[tenant].rejected;
     TREU_OBS_COUNTER_ADD("cluster.rejected_total", 1);
-    im.jot("reject seq=" + std::to_string(seq));
+    im.jot("reject seq=", seq);
     TREU_OBS_FR_EVENT(ClusterReject, trace.lo, tenant, im.inflight.size());
     rejected_promise.set_exception(std::make_exception_ptr(
         ClusterRejectedError(im.accepting ? "cluster: max_inflight reached"
@@ -748,8 +771,7 @@ std::future<ClusterResponse> ClusterController::submit(
       ++im.stats.shed;
       ++im.stats.tenants[tenant].shed;
       TREU_OBS_COUNTER_ADD("cluster.shed_total", 1);
-      im.jot("shed seq=" + std::to_string(seq) +
-             " tenant=" + std::to_string(tenant));
+      im.jot("shed seq=", seq, " tenant=", tenant);
       TREU_OBS_FR_EVENT(ClusterShed, trace.lo, tenant, mine);
       rejected_promise.set_exception(std::make_exception_ptr(
           ClusterShedError("cluster: tenant over fair share")));
@@ -768,8 +790,7 @@ std::future<ClusterResponse> ClusterController::submit(
   e.chain = im.ring.chain(seq);
   e.trace = trace;
   im.inflight.emplace(seq, std::move(e));
-  im.jot("submit seq=" + std::to_string(seq) +
-         " tenant=" + std::to_string(tenant));
+  im.jot("submit seq=", seq, " tenant=", tenant);
   im.dispatch(lock, seq);
   return fut;
 }
@@ -868,7 +889,7 @@ bool ClusterController::drain_worker(std::size_t shard) {
   Impl::WorkerSlot &w = *im.workers[shard];
   if (!w.live || !w.ready) return false;
   w.draining = true;
-  im.jot("drainreq shard=" + std::to_string(shard));
+  im.jot("drainreq shard=", shard);
 
   // Let its in-flight work finish (responses resolve entries) before the
   // Drain control frame, so the worker's stop() has nothing queued that
@@ -945,7 +966,7 @@ void ClusterController::kill_worker(std::size_t shard) {
     throw std::out_of_range("cluster: shard out of range");
   }
   Impl::WorkerSlot &w = *im.workers[shard];
-  im.jot("kill shard=" + std::to_string(shard) + " manual");
+  im.jot("kill shard=", shard, " manual");
   if (w.pid > 0 && !w.reaped) ::kill(w.pid, SIGKILL);
   // Detection runs through the normal machinery: the reader's EOF (or a
   // heartbeat miss) declares the death and fails over in-flight work.
@@ -986,7 +1007,20 @@ WorkerInfo ClusterController::worker(std::size_t shard) const {
 std::vector<std::string> ClusterController::journal() const {
   const Impl &im = *impl_;
   std::lock_guard lock(im.mu);
-  return im.journal_lines;
+  const std::uint64_t total = im.stats.journal_lines;
+  const std::uint64_t kept = std::min<std::uint64_t>(total, kJournalTailLines);
+  std::vector<std::string> lines;
+  lines.reserve(kept);
+  for (std::uint64_t i = total - kept; i < total; ++i) {
+    lines.push_back(im.journal_tail[i % kJournalTailLines]);
+  }
+  return lines;
+}
+
+core::Digest ClusterController::journal_digest() const {
+  const Impl &im = *impl_;
+  std::lock_guard lock(im.mu);
+  return im.journal_head;
 }
 
 const ClusterConfig &ClusterController::config() const noexcept {

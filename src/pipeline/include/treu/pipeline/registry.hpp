@@ -68,7 +68,9 @@ class ModelRegistry {
   /// Opens (creating the directory if needed) the registry at `dir`. Runs a
   /// scan and cuts the log back to its verified prefix, so appends resume
   /// on a record boundary after any crash; a missing log is not created.
-  /// `injector` (not owned, may be null) faults the
+  /// Throws std::runtime_error when that cut fails (the log would chain new
+  /// records after unverifiable bytes). `injector` (not owned, may be null)
+  /// faults the
   /// checkpoint writes, same as CheckpointStore.
   explicit ModelRegistry(std::string dir,
                          fault::FileInjector *injector = nullptr);

@@ -153,14 +153,16 @@ class RolloutController {
   /// Complete any interrupted cycle per the table above. Safe to call when
   /// nothing is pending (reports resumed=false). Never throws on damaged
   /// journals: damaged lines were cut at construction (torn_journal_lines).
-  /// Throws std::runtime_error, halted, when a journal append fails.
+  /// Throws std::runtime_error, halted, when a journal append fails or
+  /// construction could not cut the damaged lines.
   ResumeReport resume();
 
   /// Drive one full publish→canary→promote/rollback cycle. Throws
   /// std::logic_error if an interrupted cycle is pending or the controller
   /// has halted (simulated crash) — construct a fresh controller instead.
   /// A failed journal append halts the cycle before any later hook runs,
-  /// with the log's error in CycleReport::error.
+  /// with the log's error in CycleReport::error; a journal whose damaged
+  /// lines could not be cut halts it before the publish.
   CycleReport run_cycle(const ckpt::TrainingCheckpoint &candidate);
 
   [[nodiscard]] RolloutState state() const noexcept { return state_; }
@@ -209,6 +211,7 @@ class RolloutController {
   bool pending_pass_ = false;       // verdict outcome, when one was logged
   bool pending_has_verdict_ = false;
   std::size_t torn_journal_lines_ = 0;
+  std::string repair_error_;  // the journal's cut at open failed
 };
 
 }  // namespace treu::pipeline

@@ -1,5 +1,6 @@
 #include "treu/pipeline/registry.hpp"
 
+#include <stdexcept>
 #include <utility>
 
 #include "payload_words.hpp"
@@ -60,7 +61,9 @@ ModelRegistry::ModelRegistry(std::string dir, fault::FileInjector *injector)
   // CheckpointStore's constructor created the directory. Load the verified
   // chain and cut everything after it so the next append starts clean.
   entries_ = scan().entries;
-  (void)log_.repair(entries_.size());
+  std::string error;
+  (void)log_.repair(entries_.size(), &error);
+  if (!error.empty()) throw std::runtime_error("ModelRegistry: " + error);
 }
 
 ModelRegistry::ScanReport ModelRegistry::scan_chain() const {

@@ -121,7 +121,7 @@ RolloutController::RolloutController(ModelRegistry &registry,
     if (!tail.replay(record.payload)) break;
     ++replayed;
   }
-  torn_journal_lines_ = journal_.repair(replayed);
+  torn_journal_lines_ = journal_.repair(replayed, &repair_error_);
 
   cycle_ = tail.last_cycle;
   incumbent_version_ = tail.incumbent_version;
@@ -232,6 +232,10 @@ ResumeReport RolloutController::resume() {
   ResumeReport rr;
   rr.torn_journal_lines = torn_journal_lines_;
   if (halted_) throw std::logic_error("RolloutController: halted");
+  if (!repair_error_.empty()) {
+    halted_ = true;
+    throw std::runtime_error(repair_error_);
+  }
   if (!pending_resume_) {
     rr.state = state_;
     return rr;
@@ -301,6 +305,12 @@ CycleReport RolloutController::run_cycle(
   TREU_OBS_SCOPED_LATENCY_US(cycle_timer, "pipeline.cycle_us");
 
   CycleReport report;
+  if (!repair_error_.empty()) {
+    halted_ = true;
+    report.error = repair_error_;
+    report.state = state_;
+    return report;
+  }
   report.cycle = ++cycle_;
   const std::uint64_t n = report.cycle;
 

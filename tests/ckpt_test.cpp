@@ -281,6 +281,66 @@ TEST(DurableLog, TornAppendLeavesOneTornLineAndKeepsTheHead) {
   EXPECT_EQ(slurp(dir + "/log"), clean);
 }
 
+/// Every repair() in the process fails its cut while this lives.
+struct RefusedRepairs {
+  RefusedRepairs() { ckpt::DurableLog::fail_repairs_for_testing(true); }
+  ~RefusedRepairs() { ckpt::DurableLog::fail_repairs_for_testing(false); }
+};
+
+TEST(DurableLog, FailedCutKeepsTheHeadAndRefusesAppends) {
+  const std::string dir = fresh_dir("log_refused_cut");
+  const std::string clean = three_record_log(dir);
+  const std::string path = dir + "/log";
+  {
+    ckpt::DurableLog log(path, kLogHeader);
+    (void)log.repair(3);
+    log.append_torn("epsilon torn");
+  }
+  const std::string damaged = slurp(path);
+
+  ckpt::DurableLog log(path, kLogHeader);
+  std::string error;
+  {
+    const RefusedRepairs refused;
+    EXPECT_EQ(log.repair(3, &error), 1u);
+  }
+  EXPECT_NE(error.find("truncate failed"), std::string::npos) << error;
+  // The head did not move onto a prefix the file does not end with, and
+  // nothing is chained after the fragment still on disk.
+  EXPECT_EQ(log.head(), log.genesis());
+  std::string append_error;
+  EXPECT_FALSE(log.append("zeta", &append_error));
+  EXPECT_NE(append_error.find("truncate failed"), std::string::npos);
+  EXPECT_EQ(slurp(path), damaged);
+
+  // A repair that succeeds lifts the refusal.
+  error.clear();
+  EXPECT_EQ(log.repair(3, &error), 1u);
+  EXPECT_TRUE(error.empty()) << error;
+  EXPECT_EQ(slurp(path), clean);
+  expect_repair_then_append_chains(path, 3);
+}
+
+TEST(DurableLog, FailedRemovalOfAnOrphanedLogRefusesAppends) {
+  const std::string dir = fresh_dir("log_refused_remove");
+  std::filesystem::create_directories(dir);
+  const std::string path = dir + "/log";
+  spit(path, "not the header\nalpha d=00\n");
+  ckpt::DurableLog log(path, kLogHeader);
+  std::string error;
+  {
+    const RefusedRepairs refused;
+    EXPECT_EQ(log.repair(0, &error), 2u);
+  }
+  EXPECT_NE(error.find("remove failed"), std::string::npos) << error;
+  EXPECT_FALSE(log.append("first"));
+  EXPECT_EQ(slurp(path), "not the header\nalpha d=00\n");
+  EXPECT_EQ(log.repair(0), 2u);
+  EXPECT_FALSE(std::filesystem::exists(path));
+  ASSERT_TRUE(log.append("first"));
+  EXPECT_EQ(payloads_of(log.scan()), std::vector<std::string>{"first"});
+}
+
 TEST(DurableLog, MultiLinePayloadIsRefused) {
   const std::string dir = fresh_dir("log_newline");
   const std::string clean = three_record_log(dir);

@@ -16,6 +16,8 @@
 //  - cluster:  end-to-end serving bit-exact with a local model, manual and
 //              injected worker murder with exact zero-loss accounting,
 //              byte-identical two-run failure schedules (the journal),
+//              the journal's chain digest and bounded tail, auto-restart
+//              failing over without waiting for the replacement's Hello,
 //              stall detection + at-least-once dedup, link-drop recovery,
 //              admission control, drain/restart/hot-reload, deterministic
 //              trace propagation, per-worker flight dumps.
@@ -45,6 +47,7 @@
 
 #include "flight_dump_listener.hpp"
 #include "treu/ckpt/checkpoint.hpp"
+#include "treu/ckpt/durable_log.hpp"
 #include "treu/cluster/codec.hpp"
 #include "treu/cluster/controller.hpp"
 #include "treu/cluster/model_worker.hpp"
@@ -136,6 +139,15 @@ std::unique_ptr<cluster::WorkerService> make_mlp_worker(
   };
   return std::make_unique<MlpWorker>(std::move(models), config, decode,
                                      encode, mlp_reload);
+}
+
+/// The "mlp" kind, but every incarnation reports Hello ~300 ms late.
+constexpr auto kSlowHello = 300ms;
+
+std::unique_ptr<cluster::WorkerService> make_slow_hello_worker(
+    const cluster::WorkerStartup &startup) {
+  std::this_thread::sleep_for(kSlowHello);
+  return make_mlp_worker(startup);
 }
 
 // ---- shared helpers --------------------------------------------------------
@@ -618,6 +630,8 @@ TEST(Cluster, ManualWorkerKillMidLoadLosesNothing) {
 
 struct ReplayRun {
   std::vector<std::string> journal;
+  core::Digest journal_digest;
+  std::uint64_t journal_lines = 0;
   std::vector<Outcome> outcomes;
   std::uint64_t kills = 0;
   std::uint64_t deaths = 0;
@@ -666,7 +680,9 @@ ReplayRun run_injected_kill_scenario(std::uint64_t seed) {
   // Capture before shutdown: drain acks arrive on racy reader threads and
   // are deliberately outside the deterministic record.
   run.journal = ctrl.journal();
+  run.journal_digest = ctrl.journal_digest();
   const cluster::ClusterStats stats = ctrl.stats();
+  run.journal_lines = stats.journal_lines;
   run.kills = stats.kills_injected;
   run.deaths = stats.worker_deaths;
   run.failovers = stats.failovers;
@@ -705,6 +721,123 @@ TEST(Cluster, InjectedKillScheduleReplaysByteIdentical) {
   // A different seed tells a genuinely different failure story.
   const ReplayRun other = run_injected_kill_scenario(405);
   EXPECT_NE(first.journal, other.journal);
+}
+
+TEST(Cluster, JournalDigestReplaysPerSeed) {
+  const ReplayRun first = run_injected_kill_scenario(404);
+  const ReplayRun second = run_injected_kill_scenario(404);
+  const ReplayRun other = run_injected_kill_scenario(405);
+  EXPECT_EQ(first.journal_digest, second.journal_digest);
+  EXPECT_NE(first.journal_digest, other.journal_digest);
+  EXPECT_NE(first.journal_digest, core::sha256(cluster::kJournalHeader));
+}
+
+TEST(Cluster, JournalDigestIsTheDurableLogHeadOfItsLines) {
+  const ReplayRun run = run_injected_kill_scenario(404);
+  // A short run keeps every line, so the tail is the whole journal.
+  ASSERT_LT(run.journal_lines, cluster::kJournalTailLines);
+  ASSERT_EQ(run.journal.size(), run.journal_lines);
+
+  const std::string dir = make_temp_dir("journal_log");
+  ckpt::DurableLog log(dir + "/journal.log",
+                       std::string(cluster::kJournalHeader));
+  for (const std::string &line : run.journal) ASSERT_TRUE(log.append(line));
+  EXPECT_EQ(log.head(), run.journal_digest);
+  const ckpt::DurableLog::Scan scan = log.scan();
+  ASSERT_EQ(scan.records.size(), run.journal.size());
+  EXPECT_EQ(scan.records.back().digest, run.journal_digest);
+}
+
+TEST(Cluster, LongRunJournalKeepsAFixedTailAndCountsEveryLine) {
+  cluster::ClusterConfig config;
+  config.worker_kind = "mlp";
+  config.workers = 2;
+  config.journal = true;
+  cluster::ClusterController ctrl(config);
+
+  // submit + dispatch + fulfill per request, after one spawn per shard:
+  // well past the retained tail.
+  constexpr std::size_t kRequests = cluster::kJournalTailLines / 3 + 100;
+  constexpr std::size_t kWindow = 32;
+  std::deque<std::future<cluster::ClusterResponse>> window;
+  for (std::size_t i = 0; i < kRequests; ++i) {
+    window.push_back(ctrl.submit(0, serve::Priority::Normal,
+                                 cluster::encode_features(features_for(i))));
+    if (window.size() >= kWindow) {
+      (void)window.front().get();
+      window.pop_front();
+    }
+  }
+  for (auto &fut : window) (void)fut.get();
+  // One more request alone, so the journal's final decision is known.
+  const cluster::ClusterResponse last =
+      ctrl.submit(0, serve::Priority::Normal,
+                  cluster::encode_features(features_for(kRequests)))
+          .get();
+
+  const std::vector<std::string> journal = ctrl.journal();
+  const cluster::ClusterStats stats = ctrl.stats();
+  EXPECT_EQ(stats.journal_lines, config.workers + 3 * (kRequests + 1));
+  ASSERT_EQ(journal.size(), cluster::kJournalTailLines);
+  EXPECT_EQ(journal.back(), "fulfill seq=" + std::to_string(kRequests) +
+                                " shard=" + std::to_string(last.shard) +
+                                " attempts=1");
+  EXPECT_EQ(journal[journal.size() - 2],
+            "dispatch seq=" + std::to_string(kRequests) +
+                " shard=" + std::to_string(last.shard) + " attempt=1");
+  EXPECT_EQ(journal[journal.size() - 3],
+            "submit seq=" + std::to_string(kRequests) + " tenant=0");
+  ctrl.shutdown();
+}
+
+// ---- auto-restart off the monitor's critical path --------------------------
+
+TEST(Cluster, AutoRestartFailsOverWithoutWaitingForTheReplacementsHello) {
+  fault::FaultDecision kill;
+  kill.kind = fault::FaultKind::WorkerKill;
+  ScriptedInjector injector({kill});
+
+  cluster::ClusterConfig config;
+  config.worker_kind = "mlp_slow_hello";
+  config.workers = 2;
+  config.retry.max_attempts = 3;
+  // Far longer than the monitor's wakeup after the kill, so the resend is
+  // never due in the tick that respawns the victim's shard.
+  config.retry.base_backoff = 10000us;
+  config.retry.max_backoff = 10000us;
+  config.auto_restart = true;
+  config.injector = &injector;
+  cluster::ClusterController ctrl(config);
+  const std::size_t killed =
+      cluster::HashRing(config.workers, config.vnodes, config.ring_seed)
+          .chain(0)
+          .front();
+
+  // The first dispatch kills its target; the victim's resend must go to
+  // the surviving shard while the replacement is still starting.
+  auto fut = ctrl.submit(0, serve::Priority::Normal,
+                         cluster::encode_features(features_for(0)));
+  ASSERT_EQ(fut.wait_for(5s), std::future_status::ready);
+  const cluster::WorkerInfo replacement = ctrl.worker(killed);
+  const cluster::ClusterResponse resp = fut.get();
+  EXPECT_NE(resp.shard, killed);
+  EXPECT_EQ(resp.attempts, 2u);
+  EXPECT_FALSE(replacement.ready) << "the victim waited for the Hello";
+
+  // The replacement still comes back, restarted exactly once.
+  const auto deadline = std::chrono::steady_clock::now() + 5s;
+  while (!ctrl.worker(killed).ready &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(5ms);
+  }
+  EXPECT_TRUE(ctrl.worker(killed).ready);
+  EXPECT_EQ(ctrl.worker(killed).restarts, 1u);
+  ctrl.shutdown();
+  const cluster::ClusterStats stats = ctrl.stats();
+  EXPECT_EQ(stats.kills_injected, 1u);
+  EXPECT_EQ(stats.worker_restarts, 1u);
+  EXPECT_EQ(stats.fulfilled, 1u);
+  EXPECT_EQ(stats.failed, 0u);
 }
 
 // ---- stalls, drops, and the detection paths --------------------------------
@@ -1077,6 +1210,8 @@ TEST(ClusterSoak, WorkerMurderStormKeepsExactZeroLossAccounting) {
 // dispatch happen before InitGoogleTest.
 int main(int argc, char **argv) {
   treu::cluster::register_worker("mlp", treu::make_mlp_worker);
+  treu::cluster::register_worker("mlp_slow_hello",
+                                 treu::make_slow_hello_worker);
   const int worker_rc = treu::cluster::maybe_run_worker(argc, argv);
   if (worker_rc >= 0) return worker_rc;
   ::testing::InitGoogleTest(&argc, argv);

@@ -387,6 +387,33 @@ TEST(PipelineRegistry, TornTailIsClassifiedAndRepaired) {
   EXPECT_EQ(after.entries[2].prev_digest, head_digest);
 }
 
+/// Every DurableLog::repair() in the process fails its cut while this lives.
+struct RefusedRepairs {
+  RefusedRepairs() { ckpt::DurableLog::fail_repairs_for_testing(true); }
+  ~RefusedRepairs() { ckpt::DurableLog::fail_repairs_for_testing(false); }
+};
+
+TEST(PipelineRegistry, OpenThrowsWhenTheTornTailCannotBeCut) {
+  const std::string dir = fresh_dir("refusedcut");
+  {
+    pipeline::ModelRegistry reg(dir);
+    ASSERT_TRUE(reg.publish(toy_ckpt(10)).logged);
+    std::ofstream log(reg.log_path(), std::ios::app | std::ios::binary);
+    log << "entry v=2 step=20 file=ckpt";
+  }
+  {
+    const RefusedRepairs refused;
+    EXPECT_THROW(pipeline::ModelRegistry{dir}, std::runtime_error);
+  }
+  // Once the cut succeeds, the open repairs and publishing chains on.
+  pipeline::ModelRegistry reg(dir);
+  EXPECT_EQ(reg.head_version(), 1u);
+  ASSERT_TRUE(reg.publish(toy_ckpt(20)).logged);
+  const auto scan = reg.scan();
+  EXPECT_EQ(scan.entries.size(), 2u);
+  EXPECT_EQ(scan.torn + scan.corrupt + scan.dropped, 0u);
+}
+
 TEST(PipelineRegistry, TamperedRecordBreaksTheChainFromThatPoint) {
   const std::string dir = fresh_dir("tamper");
   pipeline::ModelRegistry reg(dir);
@@ -828,6 +855,42 @@ TEST(PipelineRollout, TornJournalTailIsCountedCutAndChainedPast) {
   EXPECT_EQ(again.resume().torn_journal_lines, 0u);
   EXPECT_EQ(again.incumbent_version(), 2u);
   EXPECT_EQ(again.journal_string(), after);
+}
+
+TEST(PipelineRollout, UncutTornJournalTailHaltsResumeAndCycle) {
+  const std::string root = fresh_dir("refusedjournalcut");
+  const std::string journal = root + "/rollout.journal";
+  Deployment dep;
+  dep.init(37);
+  pipeline::ModelRegistry reg(root + "/registry");
+  dep.registry = &reg;
+  pipeline::RolloutConfig cfg;
+  cfg.max_score_regression = 0.05;
+  std::string clean;
+  {
+    pipeline::RolloutController ctl(reg, dep.hooks(), cfg, journal);
+    baseline_promote(ctl, dep);
+    clean = ctl.journal_string();
+  }
+  {
+    std::ofstream out(journal, std::ios::binary | std::ios::app);
+    out << "state 2 prom";
+  }
+  const std::uint64_t versions = reg.head_version();
+
+  const RefusedRepairs refused;
+  pipeline::RolloutController resumed(reg, dep.hooks(), cfg, journal);
+  EXPECT_THROW((void)resumed.resume(), std::runtime_error);
+  EXPECT_TRUE(resumed.halted());
+
+  pipeline::RolloutController cycled(reg, dep.hooks(), cfg, journal);
+  const auto report = cycled.run_cycle(dep.good_candidate(100, 37));
+  EXPECT_NE(report.error.find("truncate failed"), std::string::npos)
+      << report.error;
+  EXPECT_TRUE(cycled.halted());
+  EXPECT_FALSE(report.published);
+  EXPECT_EQ(reg.head_version(), versions);  // halted before the publish
+  EXPECT_EQ(cycled.journal_string(), clean + "state 2 prom");
 }
 
 TEST(PipelineRollout, FailedJournalAppendHaltsBeforeAnyHook) {
